@@ -7,9 +7,9 @@ Every command prints either a JSON envelope
 with a fixed key order, or raw CSV for the table-shaped commands.
 Exact dyadic values appear as {"num": string, "exp": int} objects plus
 their num/2^exp and round-half-even decimal renderings, so nothing is
-lost in transport.  Identical invocations produce byte-identical bytes;
-``--threads`` is accepted as an execution knob and deliberately not
-echoed, since results must not depend on it.
+lost in transport.  Identical invocations produce byte-identical bytes.
+``--threads`` is accepted and ignored; output never depends on it, and it
+is not echoed.
 
 Exit codes: 0 success, 2 usage or parse error, 3 domain error.
 """
@@ -306,7 +306,7 @@ def _add_common(p: argparse.ArgumentParser, k_cap: bool = True) -> None:
         p.add_argument("--k-cap", dest="k_cap", type=int, default=4096,
                        help="hard cap on the support-size search (default 4096)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker count; results are independent of it")
+                   help="accepted and ignored; output never depends on it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,10 +23,20 @@ size costs O(1) big-integer operations:
 
     sum_{j<=J} C(k+1, j) = 2 sum_{j<=J} C(k, j) - C(k, J)
 
-with the strict-tail boundary index J nondecreasing in k (checked by
-exact integer comparison, never by floating floor).  The direct per-k
-sums in ``binomdist`` provide an independent route; the test suite
-cross-checks the two.
+with the boundary index J nondecreasing in k (checked by exact integer
+comparison, never by floating floor).  The direct per-k sums in
+``binomdist`` provide an independent route; the test suite cross-checks
+the two.
+
+Quantiles come out of the same scan.  Each mid_tail(k, .) is a
+nonincreasing step function, so it drops to alpha at one atom, the
+crossing atom c_k = (k - 2j*)/sqrt(k), where j* is the first index from
+the top whose weak tail exceeds alpha (j* is nondecreasing in k too).
+The envelope is the maximum over k, so its level-alpha quantile is
+max_k c_k, attained exactly when every k tying at the maximum has
+mid-tail <= alpha there.  The universal scan stops once the Berry-Esseen
+bound at the running maximum drops to alpha: no later k can then reach
+or pass it.
 
 Everything is deterministic and exact: results are bit-identical no
 matter how the k-range might be partitioned across workers.
@@ -45,7 +55,6 @@ from .exactnum import (
     DYADIC_ZERO,
     Dyadic,
     LatticeValue,
-    Ordering,
     Threshold,
     dyadic_to_float,
 )
@@ -67,8 +76,6 @@ class TruncationPolicy:
     k_cap: int = 4096
     be_constant: float = 0.4748
     safety_margin: float = 1e-9
-    grid_refine_limit: int = 8
-    grid_atom_target: int = 30_000
 
     def __post_init__(self) -> None:
         if self.k_cap < 1:
@@ -97,9 +104,11 @@ class QuantileResult:
 
     Sandwich invariant: value_at <= alpha < left_limit, where left_limit
     is the envelope value just left of t_star (the largest weak tail at
-    t_star) and witness_k_left attains it.  ``capped`` flags that some
-    accept decision relied on a hard-capped search that the Berry-Esseen
-    ceiling could not independently certify.
+    t_star) and witness_k_left attains it.  ``capped`` flags that the
+    universal envelope at t_star hit the hard cap and the Berry-Esseen
+    ceiling at the cap, gaussian_upper_tail(t_star) + C_BE/sqrt(k_cap) +
+    margin, still exceeds alpha, so value_at <= alpha is proven only over
+    k <= k_cap.
     """
 
     alpha: Fraction
@@ -126,6 +135,37 @@ def k_min(t: Threshold) -> int:
 # Incremental scan engine
 # ---------------------------------------------------------------------------
 
+def _pascal_scan(
+    k_from: int,
+    k_to: int,
+    grows: Callable[[int, int, int, int], bool],
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, J, S, CJ1) for k = k_from..k_to.
+
+    Index j counts from the top of the lattice (value k - 2j); S is the
+    sum of C(k, j) over j = 0..J and CJ1 = C(k, J+1).  J starts at -1 and
+    grows while grows(k, J, S, CJ1) holds.  Every boundary rule used here
+    keeps J nondecreasing in k, so each step is a Pascal step at fixed J
+    followed by more growth.
+    """
+    k = k_from
+    J = -1
+    S = 0
+    CJ1 = 1
+    while True:
+        while grows(k, J, S, CJ1):
+            J += 1
+            S += CJ1
+            CJ1 = CJ1 * (k - J) // (J + 1)
+        yield k, J, S, CJ1
+        if k >= k_to:
+            return
+        CJ = CJ1 * (J + 1) // (k - J) if J >= 0 else 0
+        S = 2 * S - CJ
+        CJ1 = CJ1 * (k + 1) // (k - J)
+        k += 1
+
+
 def _tail_scan(t: Threshold, k_from: int, k_to: int) -> Iterator[tuple[int, int, int]]:
     """Yield (k, strict_count, atom_coeff) for k = k_from..k_to, t >= 0.
 
@@ -138,34 +178,14 @@ def _tail_scan(t: Threshold, k_from: int, k_to: int) -> Iterator[tuple[int, int,
         weak tail   = (strict_count + atom_coeff) / 2^k
     """
     p, q = t.sq.numerator, t.sq.denominator
-    k = k_from
-    J = -1          # last qualifying index from the top
-    S = 0           # sum C(k, j), j = 0..J
-    CJ1 = 1         # C(k, J+1)
 
-    def qualifies(a: int, kk: int) -> bool:
-        return a > 0 and a * a * q > p * kk
-
-    while qualifies(k - 2 * (J + 1), k):
-        J += 1
-        S += CJ1
-        CJ1 = CJ1 * (k - J) // (J + 1)
-
-    while True:
+    def above_t(k: int, J: int, S: int, CJ1: int) -> bool:
         a = k - 2 * (J + 1)
-        atom_c = CJ1 if a >= 0 and a * a * q == p * k else 0
-        yield k, S, atom_c
-        if k >= k_to:
-            return
-        # Pascal step to k+1 at fixed J, then grow J (never shrinks).
-        CJ = CJ1 * (J + 1) // (k - J) if J >= 0 else 0
-        S = 2 * S - CJ
-        CJ1 = CJ1 * (k + 1) // (k - J)
-        k += 1
-        while qualifies(k - 2 * (J + 1), k):
-            J += 1
-            S += CJ1
-            CJ1 = CJ1 * (k - J) // (J + 1)
+        return a > 0 and a * a * q > p * k
+
+    for k, J, S, CJ1 in _pascal_scan(k_from, k_to, above_t):
+        a = k - 2 * (J + 1)
+        yield k, S, CJ1 if a >= 0 and a * a * q == p * k else 0
 
 
 def _cmp_raw(n1: int, e1: int, n2: int, e2: int) -> int:
@@ -219,8 +239,9 @@ def _weak_numerator(k: int, strict: int, atom_c: int) -> tuple[int, int]:
     return strict + atom_c, k
 
 
-def _be_stop(t: Threshold, policy: TruncationPolicy) -> Callable[[int], float]:
-    phi = gaussian_upper_tail(float(t))
+def _be_stop(t: float, policy: TruncationPolicy) -> Callable[[int], float]:
+    """Berry-Esseen ceiling on every tail of every S_K at t, as a function of K."""
+    phi = gaussian_upper_tail(t)
     c_be = policy.be_constant
     margin = policy.safety_margin
     return lambda k: phi + c_be / math.sqrt(k) + margin
@@ -263,7 +284,7 @@ def universal_envelope(t: Threshold, policy: TruncationPolicy | None = None) -> 
         raise DomainError(f"k_cap={policy.k_cap} is below the minimum support "
                           f"size {k0} = ceil(t^2)")
     value, argmax, k_last, certificate = _max_scan(
-        t, k0, policy.k_cap, _mid_numerator, _be_stop(t, policy))
+        t, k0, policy.k_cap, _mid_numerator, _be_stop(float(t), policy))
     warning = None
     if certificate == HARD_CAP_HIT:
         warning = (f"search stopped at the hard cap k={policy.k_cap} before the "
@@ -284,39 +305,28 @@ def _weak_max(t: Threshold, n: int | None, policy: TruncationPolicy) -> tuple[Dy
         value, argmax, _, cert = _max_scan(t, k0, n, _weak_numerator, None)
     else:
         value, argmax, _, cert = _max_scan(
-            t, k0, policy.k_cap, _weak_numerator, _be_stop(t, policy))
+            t, k0, policy.k_cap, _weak_numerator, _be_stop(float(t), policy))
     return value, argmax[0], cert
 
 
-# ---------------------------------------------------------------------------
-# Atom grids
-# ---------------------------------------------------------------------------
-
-def _atoms_between(k_max: int, lo: Threshold, hi: Threshold,
-                   include_lo: bool) -> list[LatticeValue]:
-    """Sorted deduplicated lattice atoms of k <= k_max in (lo, hi] or [lo, hi].
-
-    Duplicated reals keep the representative with the smallest k.
-    """
-    reps: dict[Fraction, LatticeValue] = {}
-    for k in range(1, k_max + 1):
-        m_lo = binomdist._boundary(k, lo, strict=not include_lo)
-        m_hi = binomdist._boundary(k, hi, strict=True) - 1
-        for m in range(m_lo, m_hi + 1):
-            v = LatticeValue(2 * m - k, k)
-            key = v.signed_square
-            if key not in reps:
-                reps[key] = v
-    return [reps[key] for key in sorted(reps)]
-
-
 def atom_grid(k_max: int, lo: Threshold, hi: Threshold) -> tuple[LatticeValue, ...]:
-    """All atoms of the equal-weight sums with k <= k_max inside [lo, hi]."""
+    """Sorted atoms of the equal-weight sums with k <= k_max inside [lo, hi].
+
+    A real shared by several k keeps the representative with the smallest
+    k.  The quantile scan never builds this grid; it is the slow breakpoint
+    route the tests compare the scan against.
+    """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if lo > hi:
         raise DomainError("lo must be <= hi")
-    return tuple(_atoms_between(k_max, lo, hi, include_lo=True))
+    reps: dict[Fraction, LatticeValue] = {}
+    for k in range(1, k_max + 1):
+        for m in range(binomdist._boundary(k, lo, strict=False),
+                       binomdist._boundary(k, hi, strict=True)):
+            v = LatticeValue(2 * m - k, k)
+            reps.setdefault(v.signed_square, v)
+    return tuple(reps[key] for key in sorted(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -328,90 +338,59 @@ def _require_alpha(alpha: Fraction) -> None:
         raise DomainError("alpha must lie in (0, 1/2)")
 
 
-class _UniversalEvaluator:
-    """Memoized envelope evaluations plus certification bookkeeping."""
+def _crossing_max(alpha: Fraction, k_to: int,
+                  policy: TruncationPolicy | None) -> Threshold:
+    """Largest crossing atom max_k c_k over k = 1..k_to, or a DomainError.
 
-    def __init__(self, alpha: Fraction, policy: TruncationPolicy):
-        self.alpha = alpha
-        self.policy = policy
-        self.capped = False
-        self._memo: dict[Fraction, EnvelopeResult] = {}
+    J = j* - 1 is the last index from the top whose weak tail stays at or
+    below alpha, so S = W_{j*-1} and S + CJ1 = W_{j*}, the weak-tail
+    counts at the atoms above and at c_k.  c_k is closed (mid_tail(k, c_k)
+    <= alpha) iff W_{j*-1} + W_{j*} <= alpha * 2^(k+1).  With a policy the
+    scan stops once the Berry-Esseen bound at the running maximum drops to
+    alpha, since every later k then has weak tail <= alpha there.
+    """
+    num, den = alpha.numerator, alpha.denominator
+    alpha_float = float(alpha)
 
-    def envelope(self, t: Threshold) -> EnvelopeResult:
-        key = t.signed_square
-        if key not in self._memo:
-            self._memo[key] = universal_envelope(t, self.policy)
-        return self._memo[key]
+    def weak_le_alpha(k: int, J: int, S: int, CJ1: int) -> bool:
+        return (S + CJ1) * den <= num << k
 
-    def le_alpha(self, t: Threshold) -> bool:
-        env = self.envelope(t)
-        if env.value.compare_to_ratio(self.alpha) is Ordering.GT:
-            return False  # computed value is a lower bound: certain
-        if env.certificate == HARD_CAP_HIT:
-            ceiling = (gaussian_upper_tail(float(t))
-                       + self.policy.be_constant / math.sqrt(self.policy.k_cap)
-                       + self.policy.safety_margin)
-            if ceiling > float(self.alpha):
-                self.capped = True
-        return True
+    # c_1 = 1 > 0 always, so the seed (0, 1) is replaced at k = 1
+    best_a, best_k, best_open = 0, 1, False
+    stop = None
+    for k, J, S, CJ1 in _pascal_scan(1, k_to, weak_le_alpha):
+        a = k - 2 * (J + 1)
+        is_open = (2 * S + CJ1) * den > num << (k + 1)
+        c = a * a * best_k - best_a * best_a * k   # a, best_a >= 0
+        if c > 0:
+            best_a, best_k, best_open = a, k, is_open
+            if policy is not None:
+                stop = _be_stop(a / math.sqrt(k), policy)
+        elif c == 0:
+            best_open = best_open or is_open
+        if stop is not None and stop(k + 1) <= alpha_float:
+            break
+    if best_open:
+        raise DomainError("the envelope passes below alpha without attaining it; "
+                          "no smallest threshold exists for this alpha")
+    return LatticeValue(best_a, best_k).to_threshold()
 
 
 def quantile_universal(alpha: Fraction,
                        policy: TruncationPolicy | None = None) -> QuantileResult:
     """Smallest t >= 0 with universal envelope value <= alpha.
 
-    The envelope is nonincreasing and piecewise constant with breakpoints
-    on the lattice-atom grid, so the answer is the first atom at which it
-    drops to alpha or below.  The scanned grid covers every support size
-    that can carry the crossing: k must satisfy weak_tail(k, t) > alpha
-    somewhere in the bracket, which forces
-    gaussian_upper_tail(lo) + C_BE/sqrt(k) > alpha, and k never exceeds
-    the policy cap (the computed envelope has no other breakpoints).
+    t_star is the largest crossing atom over k <= k_cap (see
+    ``_crossing_max``); value_at and left_limit are evaluated there once.
     """
     policy = policy or TruncationPolicy()
     _require_alpha(alpha)
-    ev = _UniversalEvaluator(alpha, policy)
-
-    # The envelope equals 1/2 on [0, 1), so the walk starts at 1.
-    hi_int = None
-    for j in range(1, 65):
-        if ev.le_alpha(Threshold.from_rational(Fraction(j))):
-            hi_int = j
-            break
-    if hi_int is None:
-        raise DomainError("alpha too small: no integer threshold up to 64 "
-                          "brings the envelope below it")
-
-    lo = Fraction(hi_int - 1)
-    hi = Fraction(hi_int)
-    for _ in range(policy.grid_refine_limit):
-        if _grid_size_estimate(_grid_k_limit(lo, alpha, policy), lo, hi) \
-                <= policy.grid_atom_target:
-            break
-        mid = (lo + hi) / 2
-        if ev.le_alpha(Threshold.from_rational(mid)):
-            hi = mid
-        else:
-            lo = mid
-
-    k_grid = _grid_k_limit(lo, alpha, policy)
-    lo_thr = Threshold.from_rational(lo) if lo > 0 else Threshold.zero()
-    hi_thr = Threshold.from_rational(hi)
-    for attempt in range(2):
-        atoms = _atoms_between(k_grid, lo_thr, hi_thr, include_lo=False)
-        found = _first_atom_le(atoms, ev.le_alpha)
-        if found is not None:
-            t_star = found.to_threshold()
-            left_limit, witness, _ = _weak_max(t_star, None, policy)
-            if left_limit.compare_to_ratio(alpha) is Ordering.GT:
-                value_at = ev.envelope(t_star).value
-                return QuantileResult(alpha, t_star, value_at, left_limit,
-                                      witness, ev.capped)
-        if k_grid == policy.k_cap:
-            break
-        k_grid = policy.k_cap  # widen once: cover every computable breakpoint
-    raise DomainError("the envelope passes below alpha without attaining it at "
-                      "an atom; no smallest threshold exists for this alpha")
+    t_star = _crossing_max(alpha, policy.k_cap, policy)
+    env = universal_envelope(t_star, policy)
+    left_limit, witness, _ = _weak_max(t_star, None, policy)
+    capped = (env.certificate == HARD_CAP_HIT
+              and _be_stop(float(t_star), policy)(policy.k_cap) > float(alpha))
+    return QuantileResult(alpha, t_star, env.value, left_limit, witness, capped)
 
 
 def quantile_finite(n: int, alpha: Fraction) -> QuantileResult:
@@ -423,66 +402,7 @@ def quantile_finite(n: int, alpha: Fraction) -> QuantileResult:
         raise DomainError(f"alpha below 2^-{n + 1}: the n={n} envelope only "
                           "falls that low past its largest atom, so no "
                           "smallest threshold exists")
-
-    def le_alpha(t: Threshold) -> bool:
-        value = envelope_mid_tail(n, t).value
-        return value.compare_to_ratio(alpha) is not Ordering.GT
-
-    hi_int = None
-    for j in range(1, math.isqrt(n) + 2):
-        if le_alpha(Threshold.from_rational(Fraction(j))):
-            hi_int = j
-            break
-    if hi_int is None:  # pragma: no cover - the attainability check rules this out
-        raise AssertionError("integer walk failed despite attainable alpha")
-
-    lo_thr = (Threshold.from_rational(Fraction(hi_int - 1)) if hi_int > 1
-              else Threshold.zero())
-    hi_thr = Threshold.from_rational(Fraction(hi_int))
-    atoms = _atoms_between(n, lo_thr, hi_thr, include_lo=False)
-    found = _first_atom_le(atoms, le_alpha)
-    if found is None:  # pragma: no cover - crossing atom always in a full grid
-        raise AssertionError("no qualifying atom inside the bracket")
-    t_star = found.to_threshold()
+    t_star = _crossing_max(alpha, n, None)
     left_limit, witness, _ = _weak_max(t_star, n, TruncationPolicy())
-    if left_limit.compare_to_ratio(alpha) is not Ordering.GT:
-        raise DomainError("the envelope passes below alpha on an open interval; "
-                          "no smallest threshold exists for this alpha")
     value_at = envelope_mid_tail(n, t_star).value
     return QuantileResult(alpha, t_star, value_at, left_limit, witness)
-
-
-def _first_atom_le(atoms: list[LatticeValue],
-                   le_alpha: Callable[[Threshold], bool]) -> LatticeValue | None:
-    """Leftmost atom whose envelope value is <= alpha (monotone predicate)."""
-    if not atoms:
-        return None
-    cache: dict[int, bool] = {}
-
-    def pred(i: int) -> bool:
-        if i not in cache:
-            cache[i] = le_alpha(atoms[i].to_threshold())
-        return cache[i]
-
-    lo_i, hi_i = 0, len(atoms)
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if pred(mid):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    return atoms[lo_i] if lo_i < len(atoms) else None
-
-
-def _grid_k_limit(lo: Fraction, alpha: Fraction, policy: TruncationPolicy) -> int:
-    """Largest support size whose weak tail can exceed alpha right of lo."""
-    gap = float(alpha) - gaussian_upper_tail(math.sqrt(lo)) - policy.safety_margin
-    if gap <= 0.0:
-        return policy.k_cap
-    k_be = math.ceil((policy.be_constant / gap) ** 2)
-    return max(1, min(k_be, policy.k_cap))
-
-
-def _grid_size_estimate(k_limit: int, lo: Fraction, hi: Fraction) -> float:
-    width = float(hi - lo)
-    return width / 2 * (2 / 3) * k_limit ** 1.5 + k_limit

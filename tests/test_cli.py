@@ -197,3 +197,91 @@ def test_every_exact_value_has_both_forms(capsys):
     payload = run_json(capsys, "envelope", "--t", "2", "--universal")
     value = payload["results"]["value"]
     assert set(value) == {"num", "exp", "dyadic", "decimal"}
+
+
+# ---------------------------------------------------------------------------
+# golden stdout
+# ---------------------------------------------------------------------------
+
+GOLDEN_QUANTILE_1_100 = """\
+{
+  "command": "quantile",
+  "inputs": {
+    "alpha": "1/100",
+    "mode": "universal",
+    "n": null,
+    "k_cap": 4096
+  },
+  "results": {
+    "t_star": "sqrt(32/5)",
+    "t_star_float": 2.5298221281347035,
+    "value_at": {
+      "num": "35443",
+      "exp": 22,
+      "dyadic": "35443/4194304",
+      "decimal": "0.008450"
+    },
+    "left_limit": {
+      "num": "11",
+      "exp": 10,
+      "dyadic": "11/1024",
+      "decimal": "0.010742"
+    },
+    "witness_k_left": 10,
+    "capped": true
+  },
+  "version": "0.1.0"
+}
+"""
+
+GOLDEN_QUANTILE_N6 = """\
+{
+  "command": "quantile",
+  "inputs": {
+    "alpha": "1/20",
+    "mode": "finite",
+    "n": 6,
+    "k_cap": 4096
+  },
+  "results": {
+    "t_star": "2",
+    "t_star_float": 2.0,
+    "value_at": {
+      "num": "1",
+      "exp": 5,
+      "dyadic": "1/32",
+      "decimal": "0.031250"
+    },
+    "left_limit": {
+      "num": "1",
+      "exp": 4,
+      "dyadic": "1/16",
+      "decimal": "0.062500"
+    },
+    "witness_k_left": 4,
+    "capped": false
+  },
+  "version": "0.1.0"
+}
+"""
+
+GOLDEN_TABLE = """\
+n,alpha,s_crit,t_crit
+5,1/20,2,4.000000
+5,1/40,sqrt(5),unattainable
+10,1/20,2,2.449490
+10,1/40,sqrt(5),3.000000
+20,1/20,2,2.179449
+20,1/40,sqrt(5),2.516611
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("quantile", "--alpha", "1/100", "--universal"), GOLDEN_QUANTILE_1_100),
+    (("quantile", "--alpha", "0.05", "--n", "6"), GOLDEN_QUANTILE_N6),
+    (("table", "--ns", "5,10,20", "--alphas", "0.05,0.025"), GOLDEN_TABLE),
+])
+def test_golden_stdout(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected

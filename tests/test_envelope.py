@@ -1,5 +1,6 @@
 """Envelope search, certified truncation, quantiles."""
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from rademax.envelope import (
 )
 from rademax.errors import DomainError
 from rademax.exactnum import Dyadic, Ordering, Threshold
-from rademax.normal import hoeffding_bound
+from rademax.normal import gaussian_upper_tail, hoeffding_bound
 from rademax.oracle import WeightVector, enumerate_dist, normalized_mid_tail
 
 T = Threshold.parse
@@ -243,9 +244,17 @@ def test_quantile_finite_examples():
     assert quantile_finite(3, Fraction(499, 1000)).t_star == T("1")
 
 
+def _sandwich_by_direct_sums(t, ks):
+    """(max mid-tail, max weak tail, smallest k attaining it) over ks."""
+    value = max(mid_tail(k, t) for k in ks)
+    left = max(weak_tail(k, t) for k in ks)
+    witness = min(k for k in ks if weak_tail(k, t) == left)
+    return value, left, witness
+
+
 def test_quantile_finite_matches_breakpoint_scan():
     # independent oracle: walk the full atom grid and take the first atom
-    # whose finite envelope is <= alpha
+    # whose finite envelope is <= alpha; re-sum the sandwich per k there
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randrange(1, 10)
@@ -263,6 +272,47 @@ def test_quantile_finite_matches_breakpoint_scan():
                 break
         q = quantile_finite(n, alpha)
         assert expected is not None and q.t_star == expected
+        value, left, witness = _sandwich_by_direct_sums(expected, range(1, n + 1))
+        assert (q.value_at, q.left_limit, q.witness_k_left) == (value, left, witness)
+
+
+@pytest.mark.parametrize("k_cap", [16, 64, 200])
+def test_quantile_universal_matches_breakpoint_scan(k_cap):
+    # independent oracle: the first atom of the k <= k_cap grid whose
+    # universal envelope is <= alpha (bisection: the envelope is
+    # nonincreasing), with the sandwich re-summed per k.  Small caps put
+    # most levels on the hard-cap path.
+    policy = TruncationPolicy(k_cap=k_cap)
+    grid = [v for v in atom_grid(k_cap, Threshold.zero(), T(f"sqrt({k_cap})")) if v.a > 0]
+    rng = random.Random(k_cap)
+    alphas = [Fraction(1, d) for d in (4, 5, 10, 13, 20, 40, 100, 1000)]
+    alphas += [Fraction(3, 7), Fraction(1, 2 ** (k_cap + 1)), Fraction(1, 2 ** (k_cap + 2))]
+    alphas += [Fraction(rng.randrange(1, 500), 1000) for _ in range(6)]
+    outcomes = set()
+    for alpha in alphas:
+        def le_alpha(v):
+            value = universal_envelope(v.to_threshold(), policy).value
+            return value.compare_to_ratio(alpha) is not Ordering.GT
+
+        i = bisect.bisect_left(grid, True, key=le_alpha)
+        if i < len(grid):
+            t = grid[i].to_threshold()
+            value, left, witness = _sandwich_by_direct_sums(t, range(1, k_cap + 1))
+        if i == len(grid) or left.compare_to_ratio(alpha) is not Ordering.GT:
+            # no atom qualifies, or the envelope only passes below alpha
+            with pytest.raises(DomainError):
+                quantile_universal(alpha, policy)
+            outcomes.add("error")
+            continue
+        ceiling = (gaussian_upper_tail(float(t)) + policy.be_constant / math.sqrt(k_cap)
+                   + policy.safety_margin)
+        capped = (universal_envelope(t, policy).certificate == HARD_CAP_HIT
+                  and ceiling > float(alpha))
+        q = quantile_universal(alpha, policy)
+        assert (q.t_star, q.value_at, q.left_limit, q.witness_k_left, q.capped) \
+            == (t, value, left, witness, capped), alpha
+        outcomes.add(capped)
+    assert outcomes == {True, False, "error"}
 
 
 def test_quantile_finite_unattainable_alpha():
