@@ -40,6 +40,7 @@ from .oracle import (
     equalisation_probe,
     normalized_mid_quantile,
     normalized_mid_tail,
+    require_size,
 )
 
 DECIMAL_DIGITS = 6
@@ -181,13 +182,13 @@ def _cmd_oracle(args) -> str:
         t = Threshold.parse(args.t)
         inputs["t"] = str(t)
         value = normalized_mid_tail(weights, t, dist)
-        results = {"mid_tail": _dyadic_json(value), "atom_count": len(dist.values)}
+        results = {"mid_tail": _dyadic_json(value), "atom_count": len(dist.counts)}
     else:
         alpha = _parse_alpha(args.alpha)
         inputs["alpha"] = str(alpha)
         t_star = normalized_mid_quantile(weights, alpha, dist)
         results = {"t_star": str(t_star), "t_star_float": float(t_star),
-                   "atom_count": len(dist.values)}
+                   "atom_count": len(dist.counts)}
     return _emit("oracle", inputs, results)
 
 
@@ -256,6 +257,9 @@ def _cmd_lemma_check(args) -> str:
         raise ParseError("random mode requires --n, --trials and --seed")
     if args.n < 2:
         raise DomainError("n must be >= 2 for the probe")
+    require_size(args.n)
+    if args.trials < 1:
+        raise DomainError("trials must be >= 1")
     rng = Lcg(args.seed)
     failures = []
     normalized_failures = []
@@ -267,8 +271,8 @@ def _cmd_lemma_check(args) -> str:
                 break
         weights = WeightVector(tuple(Fraction(v) for v in values))
         dist = enumerate_dist(weights)
-        pos_atoms = [v for v in dist.values if v > 0]
-        x = pos_atoms[rng.randint(0, len(pos_atoms) - 1)]
+        pos_sums = [s for s in dist.sums if s > 0]
+        x = Fraction(pos_sums[rng.randint(0, len(pos_sums) - 1)], dist.denom)
         report = equalisation_probe(weights, x)
         checked += 1
         if not report.verdict:

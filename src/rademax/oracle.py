@@ -1,11 +1,13 @@
-"""Ground-truth brute force over explicit sign patterns.
+"""Ground-truth brute force for arbitrary weight vectors.
 
 For a nonnegative rational weight vector w of length n, all 2^n sign
 patterns are equally likely, so the law of sum(w_i * e_i) follows from
-counting patterns per achieved value.  ``enumerate_dist`` aggregates the
-counts by exact convolution over a common-denominator integer lattice
-(one coordinate at a time, no floats anywhere); ``fiber`` walks the 2^n
-patterns explicitly, and the test suite cross-checks the two routes.
+counting patterns per achieved value.  Everything lives on one integer
+lattice: with L the common denominator of the weights, ``enumerate_dist``
+convolves the integer weights L*w_i one coordinate at a time into a count
+table (patterns per integer sum), and ``ExactDist`` keeps those integer
+sums, their counts and L.  No floats appear anywhere, and a ``Fraction``
+is built only for an atom that is returned.
 
 The unit-sphere normalisation is never imposed on stored weights:
 comparisons of an atom s against t * ||w|| square both sides, keeping
@@ -17,7 +19,13 @@ equal-weights optimality argument: pick coordinates i, j with
 w_i > w_j > 0, rotate weight between them in the direction that raises
 the sum exactly on patterns with e_j = +1 (per-pattern derivative
 w_i*e_j - w_j*e_i), and test whether the upper median of these slopes
-over the fiber at a positive atom is positive.
+over the fiber at a positive atom is positive.  The slope depends only
+on (e_i, e_j), so each pair's slope multiset is four counts of the other
+n-2 coordinates, read from the count table by exact division by
+(z^{L w_i} + z^{-L w_i}) and (z^{L w_j} + z^{-L w_j}).
+
+``fiber`` and ``dist_by_pattern_walk`` walk the 2^n patterns explicitly.
+They are the slow independent routes the test suite compares against.
 
 Randomised searches use a self-contained 64-bit linear congruential
 generator (documented below), so reports are reproducible bit-for-bit
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,32 +76,46 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class ExactDist:
-    """Exact law of the weighted sign sum: ascending atoms with dyadic masses."""
+    """Exact law of the weighted sign sum on the lattice (1/denom)Z.
+
+    ``sums`` holds the atoms times ``denom`` (the weights' common
+    denominator), strictly increasing; ``counts`` holds the sign patterns
+    per atom, so an atom's mass is its count / 2^n.
+    """
 
     n: int
-    values: tuple[Fraction, ...]
+    sums: tuple[int, ...]
     counts: tuple[int, ...]
+    denom: int = 1
 
     def __post_init__(self) -> None:
+        if self.denom < 1:
+            raise ValueError("the lattice denominator must be >= 1")
+        if len(self.sums) != len(self.counts):
+            raise ValueError("need one pattern count per atom")
         if sum(self.counts) != 1 << self.n:
             raise ValueError("pattern counts must sum to 2^n")
-        if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
+        if any(a >= b for a, b in zip(self.sums, self.sums[1:])):
             raise ValueError("atom values must be strictly increasing")
-        size = len(self.values)
-        for i in range(size):
-            j = size - 1 - i
-            if self.values[i] != -self.values[j] or self.counts[i] != self.counts[j]:
-                raise ValueError("distribution must be symmetric about 0")
+        if any(a != -b for a, b in zip(self.sums, reversed(self.sums))) \
+                or self.counts != self.counts[::-1]:
+            raise ValueError("distribution must be symmetric about 0")
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The atoms, ascending."""
+        return tuple(Fraction(s, self.denom) for s in self.sums)
 
     def prob(self, x: Fraction) -> Dyadic:
-        try:
-            i = self.values.index(x)
-        except ValueError:
-            return Dyadic(0, 0)
-        return Dyadic(self.counts[i], self.n)
+        s = Fraction(x) * self.denom
+        i = bisect_left(self.sums, s)
+        if i < len(self.sums) and self.sums[i] == s:
+            return Dyadic(self.counts[i], self.n)
+        return Dyadic(0, 0)
 
     def atoms(self) -> tuple[tuple[Fraction, Dyadic], ...]:
-        return tuple((v, Dyadic(c, self.n)) for v, c in zip(self.values, self.counts))
+        return tuple((Fraction(s, self.denom), Dyadic(c, self.n))
+                     for s, c in zip(self.sums, self.counts))
 
 
 @dataclass(frozen=True)
@@ -201,7 +224,8 @@ class Lcg:
 # Distribution enumeration
 # ---------------------------------------------------------------------------
 
-def _require_size(n: int) -> None:
+def require_size(n: int) -> None:
+    """Raise ``SizeLimitError`` when n exceeds the brute-force guard."""
     if n > MAX_COORDINATES:
         raise SizeLimitError(f"n={n} exceeds the brute-force guard "
                              f"({MAX_COORDINATES} coordinates)")
@@ -217,44 +241,41 @@ def _scaled_counts(iw: list[int]) -> dict[int, int]:
     """Counts of patterns per integer sum, by exact convolution."""
     counts = {0: 1}
     for wi in iw:
-        nxt: dict[int, int] = {}
+        nxt = {s + wi: c for s, c in counts.items()}
         for s, c in counts.items():
-            nxt[s + wi] = nxt.get(s + wi, 0) + c
             nxt[s - wi] = nxt.get(s - wi, 0) + c
         counts = nxt
     return counts
 
 
+def _dist(n: int, counts: dict[int, int], denom: int) -> ExactDist:
+    sums = sorted(counts)
+    return ExactDist(n, tuple(sums), tuple(counts[s] for s in sums), denom)
+
+
 def enumerate_dist(w: WeightVector) -> ExactDist:
     """Exact law of the weighted sign sum over all 2^n equiprobable patterns."""
-    _require_size(w.n)
+    require_size(w.n)
     iw, denom = _scaled_weights(w)
-    counts = _scaled_counts(iw)
-    svals = sorted(counts)
-    return ExactDist(w.n,
-                     tuple(Fraction(s, denom) for s in svals),
-                     tuple(counts[s] for s in svals))
+    return _dist(w.n, _scaled_counts(iw), denom)
 
 
 def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
     """Same law via the explicit 2^n pattern walk (slow, independent route)."""
-    _require_size(w.n)
+    require_size(w.n)
     iw, denom = _scaled_weights(w)
     counts: dict[int, int] = {}
     for eps in itertools.product(_SIGN_CHOICES, repeat=w.n):
         s = sum(e * wi for e, wi in zip(eps, iw))
         counts[s] = counts.get(s, 0) + 1
-    svals = sorted(counts)
-    return ExactDist(w.n,
-                     tuple(Fraction(s, denom) for s in svals),
-                     tuple(counts[s] for s in svals))
+    return _dist(w.n, counts, denom)
 
 
 # ---------------------------------------------------------------------------
 # Normalised tail functionals
 # ---------------------------------------------------------------------------
 
-def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: int) -> int:
+def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: Fraction) -> int:
     """Sign of s/sqrt(w2_scaled) - t, all integer arithmetic."""
     ssign = (s > 0) - (s < 0)
     if ssign != t.sign:
@@ -262,7 +283,7 @@ def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: int) -> int:
     if ssign == 0:
         return 0
     p, q = t.sq.numerator, t.sq.denominator
-    square_cmp = s * s * q - p * w2_scaled
+    square_cmp = s * s * q * w2_scaled.denominator - p * w2_scaled.numerator
     square_sign = (square_cmp > 0) - (square_cmp < 0)
     return square_sign if ssign > 0 else -square_sign
 
@@ -274,20 +295,18 @@ def normalized_mid_tail(w: WeightVector, t: Threshold,
     ``dist`` may carry a precomputed ``enumerate_dist(w)`` to amortise
     repeated thresholds against one weight vector.
     """
-    _require_size(w.n)
+    require_size(w.n)
     if dist is None:
         dist = enumerate_dist(w)
-    iw, denom = _scaled_weights(w)
-    w2_scaled = sum(x * x for x in iw)
-    strict = 0
-    boundary = 0
-    for v, c in zip(dist.values, dist.counts):
-        s_scaled = int(v * denom)
-        cmp = _cmp_scaled_atom(s_scaled, t, w2_scaled)
-        if cmp > 0:
-            strict += c
-        elif cmp == 0:
-            boundary += c
+    w2_scaled = w.norm_sq * dist.denom * dist.denom
+
+    def side(s: int) -> int:
+        return _cmp_scaled_atom(s, t, w2_scaled)
+
+    first = bisect_left(dist.sums, 0, key=side)  # first atom >= t||w||
+    on_t = first < len(dist.sums) and side(dist.sums[first]) == 0
+    boundary = dist.counts[first] if on_t else 0
+    strict = sum(dist.counts[first:]) - boundary
     return Dyadic(2 * strict + boundary, w.n + 1)
 
 
@@ -299,7 +318,7 @@ def normalized_mid_quantile(w: WeightVector, alpha: Fraction,
     normalised atom s/||w|| with P(S >= s) >= alpha; its square is the
     rational s^2 / sum(w^2).
     """
-    _require_size(w.n)
+    require_size(w.n)
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
     if dist is None:
@@ -307,13 +326,13 @@ def normalized_mid_quantile(w: WeightVector, alpha: Fraction,
     target = alpha.numerator * (1 << w.n)
     scale = alpha.denominator
     cum = 0
-    for v, c in zip(reversed(dist.values), reversed(dist.counts)):
+    for s, c in zip(reversed(dist.sums), reversed(dist.counts)):
         cum += c
         if cum * scale >= target:
-            sign = (v > 0) - (v < 0)
-            if sign == 0:
+            if s == 0:
                 return Threshold.zero()
-            return Threshold.from_square(sign, v * v / w.norm_sq)
+            v = Fraction(s, dist.denom)
+            return Threshold.from_square((s > 0) - (s < 0), v * v / w.norm_sq)
     raise AssertionError("normalized_mid_quantile failed to terminate")
 
 
@@ -322,8 +341,11 @@ def normalized_mid_quantile(w: WeightVector, alpha: Fraction,
 # ---------------------------------------------------------------------------
 
 def fiber(w: WeightVector, x: Fraction) -> Fiber:
-    """All sign patterns with sum(w_i e_i) == x, lexicographic (+1 before -1)."""
-    _require_size(w.n)
+    """All sign patterns with sum(w_i e_i) == x, lexicographic (+1 before -1).
+
+    This is the explicit 2^n walk; ``equalisation_probe`` never calls it.
+    """
+    require_size(w.n)
     x = Fraction(x)
     iw, denom = _scaled_weights(w)
     target = x * denom
@@ -339,44 +361,98 @@ def fiber(w: WeightVector, x: Fraction) -> Fiber:
     return Fiber(x, configs)
 
 
-def _multiset(slopes: list[Fraction]) -> tuple[tuple[Fraction, int], ...]:
-    out: list[list] = []
-    for s in slopes:
-        if out and out[-1][0] == s:
-            out[-1][1] += 1
-        else:
-            out.append([s, 1])
-    return tuple((v, c) for v, c in out)
+def _divide_out(desc: list[tuple[int, int]], a: int) -> dict[int, int]:
+    """Exact quotient of a count table by (z^a + z^-a), a > 0.
+
+    ``desc`` lists the table's (sum, count) items in descending order.  The
+    quotient q solves table[s] = q[s - a] + q[s + a], so from the top down
+    q[s - a] = table[s] - q[s + a].
+    """
+    q: dict[int, int] = {}
+    for s, c in desc:
+        c -= q.get(s + a, 0)
+        if c:
+            q[s - a] = c
+    return q
 
 
-def _pair_probe(w: WeightVector, fib: Fiber, i: int, j: int) -> PairProbe:
+def _quotient_at(table: dict[int, int], top: int, a: int, y: int) -> int:
+    """Count at y of the quotient of a symmetric count table by (z^a + z^-a).
+
+    ``top`` bounds the table's sums.  The quotient is symmetric too, and
+    from the top down it reads q[|y|] = table[|y|+a] - table[|y|+3a] + ...
+    That chain steps over lattice points, not table entries, so when it is
+    longer than the table the whole quotient is divided out instead.
+    """
+    y = abs(y)
+    if (top - y) // (2 * a) >= len(table):
+        return _divide_out(sorted(table.items(), reverse=True), a).get(y, 0)
+    return sum(table.get(s, 0) - table.get(s + 2 * a, 0)
+               for s in range(y + a, top + 1, 4 * a))
+
+
+def _sign_counts(rest: dict[int, int], top: int, x: int,
+                 big: int, small: int) -> dict[tuple[int, int], int]:
+    """Fiber patterns at x per sign pair (e_i, e_j), for lattice weights
+    w_i = big > w_j = small.
+
+    ``rest`` is the count table without coordinate j, its sums within
+    [-top, top].  Dividing it by (z^big + z^-big) leaves r, the table of
+    the other n-2 coordinates, and the count for (e_i, e_j) is
+    r[x - e_i big - e_j small].
+    """
+    count = {}
+    for e_j in (1, -1):
+        y = x - e_j * small
+        # r[y - big] (e_i = +1) and r[y + big] (e_i = -1) add up to rest[y];
+        # the chain is shorter for the one farther from 0
+        e_far = 1 if y <= 0 else -1
+        far = _quotient_at(rest, top, big, y - e_far * big)
+        count[e_far, e_j] = far
+        count[-e_far, e_j] = rest.get(y, 0) - far
+    return count
+
+
+def _upper_median(slopes: tuple[tuple[int, int], ...], size: int) -> int:
+    """Element at 0-based position size // 2 of the expanded multiset."""
+    rank = size // 2
+    for value, count in slopes:
+        if rank < count:
+            return value
+        rank -= count
+    raise AssertionError("slope multiset is smaller than the fiber")
+
+
+def _pair_probe(i: int, j: int, minus: tuple[tuple[int, int], ...],
+                denom: int) -> PairProbe:
     """Probe one oriented pair (w_i > w_j > 0), 0-based in, 1-based out.
 
-    The per-pattern derivative of the sum along the +theta rotation is
-    w_j e_i - w_i e_j; along -theta it is w_i e_j - w_j e_i, positive
-    exactly when e_j = +1 (the normalization behind the majority/bias
-    argument).  The probe tries -theta first, then +theta: with unequal
-    weights no slope is zero, so one of the two upper medians is always
-    positive and the first-order increase direction always exists.
+    ``minus`` is the ascending (value, multiplicity) multiset, in units of
+    1/denom, of the per-pattern derivatives over the fiber along -theta,
+    w_i e_j - w_j e_i, positive exactly when e_j = +1 (the normalization
+    behind the majority/bias argument); along +theta they are negated.
+    The probe tries -theta first, then +theta: with unequal weights no
+    slope is zero, so one of the two upper medians is always positive and
+    the first-order increase direction always exists.
     """
-    wi, wj = w.w[i], w.w[j]
-    minus = sorted(wi * eps[j] - wj * eps[i] for eps in fib.configs)
-    m = len(minus)
-    med_minus = minus[m // 2]  # upper median: position floor(m/2)+1, 1-based
+    m = sum(c for _, c in minus)
+    med_minus = _upper_median(minus, m)
     if med_minus > 0:
         direction, slopes, med, verdict = "-theta", minus, med_minus, True
     else:
-        plus = sorted(-s for s in minus)
-        med_plus = plus[m // 2]
+        plus = tuple((-v, c) for v, c in reversed(minus))
+        med_plus = _upper_median(plus, m)
         if med_plus > 0:
             direction, slopes, med, verdict = "+theta", plus, med_plus, True
         else:  # impossible without zero slopes; kept for honesty
             direction, slopes, med, verdict = "-theta", minus, med_minus, False
-    n_pos = sum(1 for s in slopes if s > 0)
-    n_neg = sum(1 for s in slopes if s < 0)
-    return PairProbe(i + 1, j + 1, direction, _multiset(slopes),
+    n_pos = sum(c for v, c in slopes if v > 0)
+    n_neg = sum(c for v, c in slopes if v < 0)
+    return PairProbe(i + 1, j + 1, direction,
+                     tuple((Fraction(v, denom), c) for v, c in slopes),
                      n_pos, n_neg, m - n_pos - n_neg,
-                     med, verdict, med_minus, med_minus > 0)
+                     Fraction(med, denom), verdict,
+                     Fraction(med_minus, denom), med_minus > 0)
 
 
 def equalisation_probe(w: WeightVector, x: Fraction) -> ProbeReport:
@@ -386,8 +462,16 @@ def equalisation_probe(w: WeightVector, x: Fraction) -> ProbeReport:
     the first whose normalized (-theta) direction already raises the
     upper median, else the first pair whose opposite direction does;
     per-pair data for all pairs rides along in ``all_pairs``.
+
+    Everything is read from count tables on the common-denominator
+    lattice, never from sign patterns.  The -theta slope of a pattern
+    depends only on its signs (e_i, e_j), so a pair's slope multiset is
+    four counts of the other n-2 coordinates: the full table divided by
+    (z^{L w_j} + z^{-L w_j}) (one table per distinct weight) and then by
+    (z^{L w_i} + z^{-L w_i}) at the points needed.  The fiber size is the
+    full count at L*x.
     """
-    _require_size(w.n)
+    require_size(w.n)
     x = Fraction(x)
     if x <= 0:
         raise DomainError("the probe requires a positive atom")
@@ -395,19 +479,36 @@ def equalisation_probe(w: WeightVector, x: Fraction) -> ProbeReport:
     if len({val for _, val in positive}) <= 1:
         return ProbeReport(applicable=False, x=x,
                            reason="all nonzero coordinates are equal")
-    fib = fiber(w, x)
+    iw, denom = _scaled_weights(w)
+    full = _scaled_counts(iw)
+    target = x * denom
+    fiber_size = full.get(target.numerator, 0) if target.denominator == 1 else 0
+    if not fiber_size:
+        raise EmptyFiberError(f"{x} is not an atom of the distribution")
+    X = target.numerator
+    total = sum(iw)
+    desc = sorted(full.items(), reverse=True)
+    largest = max(iw)
+    # leave-one-out tables: every positive weight below the largest is some
+    # pair's smaller weight
+    without = {b: _divide_out(desc, b) for b in set(iw) if 0 < b < largest}
     probes = []
     for a in range(w.n):
         for b in range(a + 1, w.n):
-            if w.w[a] > 0 and w.w[b] > 0 and w.w[a] != w.w[b]:
-                i, j = (a, b) if w.w[a] > w.w[b] else (b, a)
-                probes.append(_pair_probe(w, fib, i, j))
+            if iw[a] > 0 and iw[b] > 0 and iw[a] != iw[b]:
+                i, j = (a, b) if iw[a] > iw[b] else (b, a)
+                big, small = iw[i], iw[j]
+                count = _sign_counts(without[small], total - small, X, big, small)
+                # -theta slopes w_i e_j - w_j e_i, ascending
+                minus = ((-big - small, count[1, -1]), (small - big, count[-1, -1]),
+                         (big - small, count[1, 1]), (big + small, count[-1, 1]))
+                probes.append(_pair_probe(i, j, tuple(p for p in minus if p[1]), denom))
     selected = next((p for p in probes if p.normalized_verdict),
                     next((p for p in probes if p.verdict), probes[0]))
     return ProbeReport(
         applicable=True,
         x=x,
-        fiber_size=len(fib.configs),
+        fiber_size=fiber_size,
         pair=(selected.i, selected.j),
         direction=selected.direction,
         slopes=selected.slopes,

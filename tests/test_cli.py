@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rademax import cli
 from rademax.cli import main
 
 
@@ -162,6 +163,29 @@ def test_lemma_check_random_mode(capsys):
     assert payload["results"]["ok"] is True
 
 
+@pytest.mark.parametrize("n, trials, message", [
+    (25, 1, "n=25 exceeds the brute-force guard (24 coordinates)"),
+    (10**9, 1, "n=1000000000 exceeds the brute-force guard (24 coordinates)"),
+    (6, 0, "trials must be >= 1"),
+    (6, -3, "trials must be >= 1"),
+])
+def test_lemma_check_random_mode_fails_fast(capsys, monkeypatch, n, trials, message):
+    class NoDraws:
+        def __init__(self, seed):
+            raise AssertionError("weights were drawn before the input checks")
+
+    monkeypatch.setattr(cli, "Lcg", NoDraws)
+    code, out, err = run(capsys, "lemma-check", "--n", str(n), "--trials", str(trials),
+                         "--seed", "1")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_lemma_check_random_mode_at_the_size_guard(capsys):
+    payload = run_json(capsys, "lemma-check", "--n", "24", "--trials", "1", "--seed", "3")
+    assert payload["results"]["checked"] == 1
+    assert payload["results"]["ok"] is True
+
+
 def test_figure_data(capsys):
     code, out, _ = run(capsys, "figure-data", "--which", "kstar")
     assert code == 0
@@ -275,11 +299,132 @@ n,alpha,s_crit,t_crit
 20,1/40,sqrt(5),2.516611
 """
 
+GOLDEN_ORACLE_T = """\
+{
+  "command": "oracle",
+  "inputs": {
+    "weights": [
+      "3",
+      "4"
+    ],
+    "t": "1"
+  },
+  "results": {
+    "mid_tail": {
+      "num": "1",
+      "exp": 2,
+      "dyadic": "1/4",
+      "decimal": "0.250000"
+    },
+    "atom_count": 4
+  },
+  "version": "0.1.0"
+}
+"""
+
+GOLDEN_ORACLE_ALPHA = """\
+{
+  "command": "oracle",
+  "inputs": {
+    "weights": [
+      "1",
+      "2",
+      "2"
+    ],
+    "alpha": "1/4"
+  },
+  "results": {
+    "t_star": "1",
+    "t_star_float": 1.0,
+    "atom_count": 6
+  },
+  "version": "0.1.0"
+}
+"""
+
+GOLDEN_LEMMA_ATOM = """\
+{
+  "command": "lemma-check",
+  "inputs": {
+    "weights": [
+      "3",
+      "4"
+    ],
+    "x": "7/5"
+  },
+  "results": {
+    "report": {
+      "applicable": true,
+      "x": "7/5",
+      "verdict": true,
+      "normalized_verdict": true,
+      "fiber_size": 1,
+      "pair": [
+        2,
+        1
+      ],
+      "direction": "-theta",
+      "n_pos": 1,
+      "n_neg": 0,
+      "n_zero": 0,
+      "upper_median_slope": "1/5",
+      "slopes": [
+        [
+          "1/5",
+          1
+        ]
+      ],
+      "all_pairs": [
+        {
+          "pair": [
+            2,
+            1
+          ],
+          "direction": "-theta",
+          "n_pos": 1,
+          "n_neg": 0,
+          "n_zero": 0,
+          "upper_median_slope": "1/5",
+          "verdict": true,
+          "normalized_median": "1/5",
+          "normalized_verdict": true
+        }
+      ]
+    }
+  },
+  "version": "0.1.0"
+}
+"""
+
+GOLDEN_LEMMA_RANDOM = """\
+{
+  "command": "lemma-check",
+  "inputs": {
+    "n": 6,
+    "trials": 5,
+    "seed": 42
+  },
+  "results": {
+    "checked": 5,
+    "failures": 0,
+    "failed_instances": [],
+    "normalized_direction_failures": 0,
+    "normalized_failure_instances": [],
+    "ok": true
+  },
+  "version": "0.1.0"
+}
+"""
+
 
 @pytest.mark.parametrize("argv, expected", [
     (("quantile", "--alpha", "1/100", "--universal"), GOLDEN_QUANTILE_1_100),
     (("quantile", "--alpha", "0.05", "--n", "6"), GOLDEN_QUANTILE_N6),
     (("table", "--ns", "5,10,20", "--alphas", "0.05,0.025"), GOLDEN_TABLE),
+    (("oracle", "--weights", "3,4", "--t", "1"), GOLDEN_ORACLE_T),
+    (("oracle", "--weights", "1,2,2", "--alpha", "1/4"), GOLDEN_ORACLE_ALPHA),
+    (("lemma-check", "--weights", "3,4", "--x", "7/5"), GOLDEN_LEMMA_ATOM),
+    (("lemma-check", "--n", "6", "--trials", "5", "--seed", "42"), GOLDEN_LEMMA_RANDOM),
 ])
 def test_golden_stdout(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

@@ -1,15 +1,22 @@
 """Brute-force oracle: enumeration, fibers, probe, random search."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rademax.binomdist import mid_tail, pmf
 from rademax.errors import DomainError, EmptyFiberError, SizeLimitError
 from rademax.exactnum import DYADIC_ONE, Dyadic, Threshold
 from rademax.oracle import (
+    ExactDist,
     Lcg,
+    PairProbe,
+    ProbeReport,
     WeightVector,
     dist_by_pattern_walk,
     enumerate_dist,
@@ -63,6 +70,46 @@ def test_enumerate_guards():
         W(0, 0)
     with pytest.raises(DomainError):
         W(-1, 2)
+
+
+def test_exact_dist_validates_the_integer_law():
+    d = ExactDist(2, (-3, -1, 1, 3), (1, 1, 1, 1), 5)
+    assert d.values == (Fraction(-3, 5), Fraction(-1, 5), Fraction(1, 5), Fraction(3, 5))
+    with pytest.raises(ValueError, match="sum to 2"):
+        ExactDist(2, (-1, 1), (1, 2))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ExactDist(1, (1, -1), (1, 1))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ExactDist(1, (0, 0), (1, 1))
+    with pytest.raises(ValueError, match="symmetric"):
+        ExactDist(2, (-2, 0, 1), (1, 2, 1))
+    with pytest.raises(ValueError, match="symmetric"):
+        ExactDist(2, (-1, 1), (1, 3))
+    with pytest.raises(ValueError, match="one pattern count per atom"):
+        ExactDist(1, (-1, 0, 1), (1, 1))
+    with pytest.raises(ValueError, match="denominator"):
+        ExactDist(1, (-1, 1), (1, 1), 0)
+
+
+def test_exact_dist_reads_like_a_fraction_law():
+    # values, atoms() and prob() against a walk that sums Fractions directly
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        vals = [Fraction(rng.randrange(0, 9), rng.choice((1, 2, 3, 4, 6, 10)))
+                for _ in range(n)]
+        if not any(vals):
+            continue
+        law = Counter(sum(e * v for e, v in zip(eps, vals))
+                      for eps in itertools.product((1, -1), repeat=n))
+        d = enumerate_dist(W(*vals))
+        assert d.values == tuple(sorted(law))
+        assert d.atoms() == tuple((v, Dyadic(law[v], n)) for v in sorted(law))
+        for v in law:
+            assert d.prob(v) == Dyadic(law[v], n)
+        off = Fraction(1, 7 * d.denom)  # never on the lattice
+        for x in (min(law) + off, max(law) - off, max(law) + 1):
+            assert d.prob(x) == Dyadic(0, 0)
 
 
 def test_permutation_invariance():
@@ -120,6 +167,8 @@ def test_normalized_mid_quantile_examples():
     assert normalized_mid_quantile(W(1, 1), Fraction(1, 2)) == Threshold.zero()
     # no atom at 0: supremum convention lands on the first positive atom
     assert normalized_mid_quantile(W(1, 2), Fraction(1, 2)) == T("sqrt(1/5)")
+    # alpha 2^n = 6/5 is not an integer: the top atom alone (1 of 4) falls short
+    assert normalized_mid_quantile(W(1, 2), Fraction(3, 10)) == T("sqrt(1/5)")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +253,99 @@ def test_probe_some_direction_always_works():
         d = enumerate_dist(w)
         for x in (v for v in d.values if v > 0):
             assert equalisation_probe(w, x).verdict
+
+
+def _slow_pair(w: WeightVector, configs, i: int, j: int) -> PairProbe:
+    """Per-pattern slopes over an explicit fiber, for one pair (w_i > w_j)."""
+    wi, wj = w.w[i], w.w[j]
+    minus = sorted(wi * eps[j] - wj * eps[i] for eps in configs)
+    m = len(minus)
+    med_minus = minus[m // 2]
+    if med_minus > 0:
+        direction, slopes, med, verdict = "-theta", minus, med_minus, True
+    else:
+        plus = sorted(-s for s in minus)
+        med_plus = plus[m // 2]
+        if med_plus > 0:
+            direction, slopes, med, verdict = "+theta", plus, med_plus, True
+        else:
+            direction, slopes, med, verdict = "-theta", minus, med_minus, False
+    n_pos = sum(1 for s in slopes if s > 0)
+    n_neg = sum(1 for s in slopes if s < 0)
+    multiset = tuple(sorted(Counter(slopes).items()))
+    return PairProbe(i + 1, j + 1, direction, multiset, n_pos, n_neg,
+                     m - n_pos - n_neg, med, verdict, med_minus, med_minus > 0)
+
+
+def _slow_probe(w: WeightVector, x: Fraction) -> ProbeReport:
+    """The equalisation probe driven by the 2^n walk in ``fiber``."""
+    if len({v for v in w.w if v > 0}) <= 1:
+        return ProbeReport(applicable=False, x=x,
+                           reason="all nonzero coordinates are equal")
+    configs = fiber(w, x).configs
+    probes = []
+    for a, b in itertools.combinations(range(w.n), 2):
+        if w.w[a] > 0 and w.w[b] > 0 and w.w[a] != w.w[b]:
+            i, j = (a, b) if w.w[a] > w.w[b] else (b, a)
+            probes.append(_slow_pair(w, configs, i, j))
+    selected = next((p for p in probes if p.normalized_verdict),
+                    next((p for p in probes if p.verdict), probes[0]))
+    return ProbeReport(
+        applicable=True, x=x, fiber_size=len(configs),
+        pair=(selected.i, selected.j), direction=selected.direction,
+        slopes=selected.slopes, n_pos=selected.n_pos, n_neg=selected.n_neg,
+        n_zero=selected.n_zero, upper_median_slope=selected.upper_median_slope,
+        verdict=selected.verdict, normalized_verdict=selected.normalized_verdict,
+        all_pairs=tuple(probes))
+
+
+def _assert_probe_matches_fiber_walk(w: WeightVector) -> None:
+    """Whole reports agree at every positive atom; at the lattice point
+    above each atom and at points off the lattice, either both routes
+    raise EmptyFiberError or neither does and the reports agree."""
+    d = enumerate_dist(w)
+    off = Fraction(1, 7 * d.denom)
+    points = {x + step for x in d.values if x > 0 for step in (0, Fraction(1, d.denom))}
+    for x in sorted(points | {off, d.values[-1] + off}):
+        try:
+            fast = equalisation_probe(w, x)
+        except EmptyFiberError:
+            assert x not in d.values
+            with pytest.raises(EmptyFiberError):
+                _slow_probe(w, x)
+        else:
+            assert fast == _slow_probe(w, x), (w, x)
+
+
+def test_probe_matches_fiber_walk():
+    # zero weights, repeated weights, rational weights on a common
+    # denominator > 1, and n up to 10; small weights beside large ones make
+    # the alternating chain longer than its table (the full-division branch)
+    rng = random.Random(2718)
+    vectors = [W(3, 4), W(0, 1, 2), W(2, 2, 1, 0, 2), W("1/3", "1/2", "5/6", "1/2"),
+               W("1/1000", "1/500", 7, "7001/1000"), W(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)]
+    for n in range(2, 11):
+        for denom in (1, 1, 6):
+            top = 6 if n > 7 else 12
+            vals = [Fraction(rng.randrange(0, top), denom) for _ in range(n)]
+            if any(vals):
+                vectors.append(W(*vals))
+    for w in vectors:
+        _assert_probe_matches_fiber_walk(w)
+
+
+def test_probe_work_is_bounded_by_the_table():
+    # at x = 4 the alternating chain for the pair (2, 1) would step 10^12 / 4
+    # lattice points; the probe divides the 8-entry table out instead
+    w = W(1, 2, 10**12, 10**12 + 1)
+    assert equalisation_probe(w, Fraction(4)) == _slow_probe(w, Fraction(4))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=4),
+                min_size=2, max_size=6).filter(any))
+def test_probe_matches_fiber_walk_property(vals):
+    _assert_probe_matches_fiber_walk(W(*vals))
 
 
 def test_probe_errors():
