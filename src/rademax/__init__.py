@@ -24,7 +24,7 @@ from .exactnum import (
 )
 from .binomdist import AtomTable, mid_quantile, mid_tail, pmf, strict_tail, weak_tail
 from .envelope import (
-    BERRY_ESSEEN_CLOSED,
+    ZUBKOV_SEROV_CLOSED,
     HARD_CAP_HIT,
     EnvelopeResult,
     QuantileResult,

@@ -10,14 +10,17 @@ tail functionals here are exact dyadics:
 
 Boundary atoms are detected by exact comparison (t is an atom iff its
 sign matches and t^2 equals (2m-k)^2/k for an m of the right parity);
-no floating floor of (k - t*sqrt(k))/2 is ever taken.  Tail sums run
-from the top of the lattice downward and stop at the exact boundary.
+no floating floor of (k - t*sqrt(k))/2 is ever taken.  A tail sum past
+the centre is the half-mass minus the few coefficients between the centre
+and the boundary (about t*sqrt(k)/2 of them), and one below the centre
+follows by symmetry, so no sum walks the k/2 coefficients from the top.
 
 Pure functions over immutable values; thread-safe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,34 +76,55 @@ def _boundary(k: int, t: Threshold, strict: bool) -> int:
     return lo
 
 
-def _top_sum(k: int, m_from: int) -> int:
-    """Sum of C(k, m) for m in [m_from, k], accumulated from the top down."""
-    if m_from > k:
-        return 0
-    total = 0
-    coeff = 1  # C(k, k)
-    for m in range(k, m_from - 1, -1):
-        total += coeff
-        coeff = coeff * m // (k - m + 1)
-    return total
+def _upper_count(k: int, m0: int) -> tuple[int, int]:
+    """(sum of C(k, m) over m in [m0, k], C(k, m0)), walking from the centre.
+
+    Past the centre (2*m0 > k) the sum is the upper half-mass minus the
+    coefficients between the centre and m0; at or below it, the sum is
+    2^k minus the mirrored upper sum from k + 1 - m0.
+    """
+    if m0 > k:
+        return 0, 0
+    if m0 == 0:
+        return 1 << k, 1
+    if 2 * m0 <= k:
+        mirrored, coeff = _upper_count(k, k + 1 - m0)  # coeff = C(k, m0 - 1)
+        return (1 << k) - mirrored, coeff * (k - m0 + 1) // m0
+    half = k // 2
+    centre = math.comb(k, half)
+    if k % 2:
+        total, coeff = 1 << (k - 1), centre  # C(k, half + 1) = C(k, half)
+    else:
+        total, coeff = ((1 << k) - centre) >> 1, centre * half // (half + 1)
+    for m in range(half + 1, m0):
+        total -= coeff
+        coeff = coeff * (k - m) // (m + 1)
+    return total, coeff
 
 
 def strict_tail(k: int, t: Threshold) -> Dyadic:
     """P(S_k > t) as an exact dyadic."""
     _require_k(k)
-    return Dyadic(_top_sum(k, _boundary(k, t, strict=True)), k)
+    return Dyadic(_upper_count(k, _boundary(k, t, strict=True))[0], k)
 
 
 def weak_tail(k: int, t: Threshold) -> Dyadic:
     """P(S_k >= t) as an exact dyadic."""
     _require_k(k)
-    return Dyadic(_top_sum(k, _boundary(k, t, strict=False)), k)
+    return Dyadic(_upper_count(k, _boundary(k, t, strict=False))[0], k)
 
 
 def mid_tail(k: int, t: Threshold) -> Dyadic:
-    """P(S_k > t) + P(S_k = t)/2; equals the strict tail off the lattice."""
+    """P(S_k > t) + P(S_k = t)/2; equals the strict tail off the lattice.
+
+    One sum: the weak count plus the strict count, which drops the atom's
+    coefficient when t is an atom.
+    """
     _require_k(k)
-    return strict_tail(k, t).add(weak_tail(k, t)).halve()
+    m0 = _boundary(k, t, strict=False)
+    weak, coeff = _upper_count(k, m0)
+    on_atom = m0 <= k and cmp_lattice_threshold(LatticeValue(2 * m0 - k, k), t) is Ordering.EQ
+    return Dyadic(2 * weak - (coeff if on_atom else 0), k + 1)
 
 
 def mid_quantile(k: int, alpha: Fraction) -> Threshold:

@@ -273,7 +273,7 @@ def _cmd_lemma_check(args) -> str:
         dist = enumerate_dist(weights)
         pos_sums = [s for s in dist.sums if s > 0]
         x = Fraction(pos_sums[rng.randint(0, len(pos_sums) - 1)], dist.denom)
-        report = equalisation_probe(weights, x)
+        report = equalisation_probe(weights, x, dist)
         checked += 1
         if not report.verdict:
             failures.append({"weights": [str(w) for w in weights.w], "x": str(x),

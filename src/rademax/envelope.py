@@ -6,17 +6,29 @@ coordinates, so the search reduces to
 
     max over k of  mid_tail(k, t),
 
-finitely for k <= n and, for the universal envelope, over all k with a
-certified truncation: once
+over k <= n for the finite envelope and over all k for the universal one.
+Both stop early on one tail bound.  For the k-term equal-weight sum S_K
+and t sqrt(K) > 2,
 
-    gaussian_upper_tail(t) + C_BE / sqrt(K) + margin  <  best so far
+    P(S_K >= t)  <=  Phi-bar(t - 2/sqrt(K)),
 
-every remaining support size K' >= K is dominated, because the mid-tail
-of a standardized k-term +-1 sum sits within the Berry-Esseen distance
-C_BE / sqrt(k) of the normal tail (C_BE = 0.4748 for unit-variance
-symmetric +-1 summands).  When the bound never closes before the hard
-cap, the result honestly carries certificate ``hard_cap_hit`` plus a
-warning instead of a silent truncation.
+where Phi-bar is the standard normal upper tail.  Proof: S_K >= t means
+X >= (K + t sqrt(K))/2 for X ~ Bin(K, 1/2), a lower tail P(X <= K - m)
+with (K - m + 1)/K <= 1/2 - d and d = t/(2 sqrt(K)) - 1/K > 0.  The
+Zubkov-Serov inequality (Theory Probab. Appl. 57, 2013) bounds it by
+Phi-bar(sqrt(2K H(1/2 - d))), H the Kullback-Leibler divergence from
+1/2, and H(1/2 - d) >= 2 d^2 gives Phi-bar(2 d sqrt(K)).  The right side
+decreases in K, so its value at K bounds the weak and mid tails of every
+K' >= K: once it drops strictly below the best value found, no later
+support size can tie or win, and the search closes with certificate
+``zubkov_serov_closed``.  The decision is exact: a rational lower bound
+on t - 2/sqrt(K) from integer square roots, an integer upper bound on
+Phi-bar at it (``normal.upper_tail_ceiling``), and an integer comparison
+with the best dyadic.  A float inverse of Phi-bar only pre-screens which
+K to try; it is generous, so it never delays the first exact closure.
+When the universal search reaches the hard cap unclosed, the result
+carries certificate ``hard_cap_hit`` plus a warning instead of a silent
+truncation.
 
 The k-scan uses a Pascal-triangle recurrence across k, so each support
 size costs O(1) big-integer operations:
@@ -34,9 +46,9 @@ crossing atom c_k = (k - 2j*)/sqrt(k), where j* is the first index from
 the top whose weak tail exceeds alpha (j* is nondecreasing in k too).
 The envelope is the maximum over k, so its level-alpha quantile is
 max_k c_k, attained exactly when every k tying at the maximum has
-mid-tail <= alpha there.  The universal scan stops once the Berry-Esseen
-bound at the running maximum drops to alpha: no later k can then reach
-or pass it.
+mid-tail <= alpha there.  The scan stops once the tail bound at the
+running maximum drops to alpha: every later k then has weak tail <= alpha
+there, so its crossing atom lies strictly below.
 
 Everything is deterministic and exact: results are bit-identical no
 matter how the k-range might be partitioned across workers.
@@ -58,24 +70,21 @@ from .exactnum import (
     Threshold,
     dyadic_to_float,
 )
-from .normal import gaussian_upper_tail
+from .normal import gaussian_upper_quantile, upper_tail_ceiling
 
-BERRY_ESSEEN_CLOSED = "berry_esseen_closed"
+ZUBKOV_SEROV_CLOSED = "zubkov_serov_closed"
 HARD_CAP_HIT = "hard_cap_hit"
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Stopping rule for the unbounded support-size search.
+    """Hard cap on the unbounded support-size search.
 
-    ``be_constant`` is the Berry-Esseen constant for unit-variance
-    symmetric +-1 summands; ``safety_margin`` is added on the bound side
-    of the comparison so float rounding can never fake a closure.
+    The stop itself is the exact tail bound of the module docstring; the
+    cap only bounds the work when that bound cannot close.
     """
 
     k_cap: int = 4096
-    be_constant: float = 0.4748
-    safety_margin: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.k_cap < 1:
@@ -104,11 +113,10 @@ class QuantileResult:
 
     Sandwich invariant: value_at <= alpha < left_limit, where left_limit
     is the envelope value just left of t_star (the largest weak tail at
-    t_star) and witness_k_left attains it.  ``capped`` flags that the
-    universal envelope at t_star hit the hard cap and the Berry-Esseen
-    ceiling at the cap, gaussian_upper_tail(t_star) + C_BE/sqrt(k_cap) +
-    margin, still exceeds alpha, so value_at <= alpha is proven only over
-    k <= k_cap.
+    t_star) and witness_k_left attains it.  ``capped`` flags a universal
+    quantile whose scan reached k_cap while the tail bound at t_star,
+    Phi-bar(t_star - 2/sqrt(k_cap + 1)), still exceeded alpha, so
+    value_at <= alpha is proven only over k <= k_cap.
     """
 
     alpha: Fraction
@@ -197,38 +205,65 @@ def _cmp_raw(n1: int, e1: int, n2: int, e2: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
+def _tail_ceiling(p: int, q: int, k: int) -> tuple[int, int] | None:
+    """(u, prec) with P(S_K >= t) <= u / 2^prec for every K >= k, t = sqrt(p/q).
+
+    u / 2^prec is an upper bound on Phi-bar(t - 2/sqrt(k)) (see the module
+    docstring); None when t sqrt(k) <= 2, where that bound does not hold.
+    """
+    if p * k <= 4 * q:
+        return None
+    prec = 64 + 3 * -(-p // q) // 2
+    # floor(t 2^prec) - ceil(2^(prec+1) / sqrt(k)) <= (t - 2/sqrt(k)) 2^prec
+    x_num = math.isqrt((p << 2 * prec) // q) - math.isqrt((1 << 2 * prec + 2) // k) - 1
+    return upper_tail_ceiling(max(x_num, 0), prec), prec
+
+
+def _prescreen_quantile(level: float) -> float:
+    """Float x with Phi-bar(x) a relative 1e-6 above ``level`` (inf when it
+    underflows).  The margin dwarfs the float error, so a K that the exact
+    ceiling closes at always passes ``_closing_k``."""
+    return gaussian_upper_quantile(min(0.5, level * (1 + 1e-6))) if level > 0 else math.inf
+
+
+def _closing_k(x: float, quantile: float) -> float:
+    """Float pre-screen: the K from which x - 2/sqrt(K) passes ``quantile``."""
+    return 4.0 / (x - quantile) ** 2 if x > quantile else math.inf
+
+
 def _max_scan(
     t: Threshold,
     k_from: int,
     k_to: int,
     numerator: Callable[[int, int, int], tuple[int, int]],
-    stop_bound: Callable[[int], float] | None,
-) -> tuple[Dyadic, tuple[int, ...], int, str]:
-    """Maximize numerator(k, strict, atom)/2^exp over the k range.
+) -> tuple[Dyadic, tuple[int, ...], int, bool]:
+    """Maximize numerator(k, strict, atom)/2^exp over k = k_from..k_to.
 
-    ``stop_bound(k_next)`` (when given) returns a float upper bound valid
-    for every remaining support size; the scan closes once it falls below
-    the running best.  Returns (value, argmax ties, last k, certificate).
+    The numerator is a weak or mid tail, so the scan closes once the tail
+    ceiling for every K > k falls strictly below the running best: no
+    later k can tie or win.  Returns (value, argmax ties, last k, closed).
     """
+    p, q = t.sq.numerator, t.sq.denominator
+    t_float = float(t)
     best_num, best_exp = -1, 0
-    best_float = 0.0
     argmax: list[int] = []
-    certificate = HARD_CAP_HIT if stop_bound is not None else BERRY_ESSEEN_CLOSED
+    k_try = math.inf
     k_last = k_from - 1
     for k, strict, atom_c in _tail_scan(t, k_from, k_to):
         num, exp = numerator(k, strict, atom_c)
         c = 1 if best_num < 0 else _cmp_raw(num, exp, best_num, best_exp)
         if c > 0:
             best_num, best_exp = num, exp
-            best_float = dyadic_to_float(num, exp)
             argmax = [k]
+            k_try = _closing_k(t_float, _prescreen_quantile(dyadic_to_float(num, exp)))
         elif c == 0:
             argmax.append(k)
         k_last = k
-        if stop_bound is not None and stop_bound(k + 1) < best_float:
-            certificate = BERRY_ESSEEN_CLOSED
-            break
-    return Dyadic(best_num, best_exp), tuple(argmax), k_last, certificate
+        if k + 1 >= k_try:
+            ceiling = _tail_ceiling(p, q, k + 1)
+            if ceiling is not None and _cmp_raw(*ceiling, best_num, best_exp) < 0:
+                return Dyadic(best_num, best_exp), tuple(argmax), k, True
+    return Dyadic(best_num, best_exp), tuple(argmax), k_last, False
 
 
 def _mid_numerator(k: int, strict: int, atom_c: int) -> tuple[int, int]:
@@ -239,14 +274,6 @@ def _weak_numerator(k: int, strict: int, atom_c: int) -> tuple[int, int]:
     return strict + atom_c, k
 
 
-def _be_stop(t: float, policy: TruncationPolicy) -> Callable[[int], float]:
-    """Berry-Esseen ceiling on every tail of every S_K at t, as a function of K."""
-    phi = gaussian_upper_tail(t)
-    c_be = policy.be_constant
-    margin = policy.safety_margin
-    return lambda k: phi + c_be / math.sqrt(k) + margin
-
-
 # ---------------------------------------------------------------------------
 # Envelopes
 # ---------------------------------------------------------------------------
@@ -254,8 +281,10 @@ def _be_stop(t: float, policy: TruncationPolicy) -> Callable[[int], float]:
 def envelope_mid_tail(n: int, t: Threshold) -> EnvelopeResult:
     """Exact maximum of mid_tail(k, t) over support sizes k = 1..n.
 
-    Exhaustive, so the certificate is trivially closed.  When every k is
-    below the cutoff ceil(t^2) the value is zero and all k tie.
+    The scan stops at min(n, K) where the tail bound closes at K, so the
+    certificate is always closed and ``k_searched`` is where it stopped.
+    When every k is below the cutoff ceil(t^2) the value is zero and all
+    k tie.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -264,16 +293,16 @@ def envelope_mid_tail(n: int, t: Threshold) -> EnvelopeResult:
     k0 = k_min(t)
     if k0 > n:
         return EnvelopeResult(t, DYADIC_ZERO, tuple(range(1, n + 1)), n,
-                              BERRY_ESSEEN_CLOSED)
-    value, argmax, k_last, _ = _max_scan(t, k0, n, _mid_numerator, None)
-    return EnvelopeResult(t, value, argmax, k_last, BERRY_ESSEEN_CLOSED)
+                              ZUBKOV_SEROV_CLOSED)
+    value, argmax, k_last, _ = _max_scan(t, k0, n, _mid_numerator)
+    return EnvelopeResult(t, value, argmax, k_last, ZUBKOV_SEROV_CLOSED)
 
 
 def universal_envelope(t: Threshold, policy: TruncationPolicy | None = None) -> EnvelopeResult:
     """Supremum of mid_tail(k, t) over all k >= 1, with a stopping certificate.
 
-    The scan starts at ceil(t^2) and closes via the Berry-Esseen bound;
-    if the bound cannot close before ``policy.k_cap`` the result carries
+    The scan starts at ceil(t^2) and closes via the tail bound; if the
+    bound cannot close before ``policy.k_cap`` the result carries
     certificate ``hard_cap_hit`` and an explicit warning (not an error).
     """
     policy = policy or TruncationPolicy()
@@ -283,30 +312,23 @@ def universal_envelope(t: Threshold, policy: TruncationPolicy | None = None) -> 
     if k0 > policy.k_cap:
         raise DomainError(f"k_cap={policy.k_cap} is below the minimum support "
                           f"size {k0} = ceil(t^2)")
-    value, argmax, k_last, certificate = _max_scan(
-        t, k0, policy.k_cap, _mid_numerator, _be_stop(float(t), policy))
-    warning = None
-    if certificate == HARD_CAP_HIT:
-        warning = (f"search stopped at the hard cap k={policy.k_cap} before the "
-                   "Berry-Esseen bound closed; larger support sizes are unverified")
-    return EnvelopeResult(t, value, argmax, k_last, certificate, warning)
+    value, argmax, k_last, closed = _max_scan(t, k0, policy.k_cap, _mid_numerator)
+    if closed:
+        return EnvelopeResult(t, value, argmax, k_last, ZUBKOV_SEROV_CLOSED)
+    warning = (f"search stopped at the hard cap k={policy.k_cap} before the "
+               "tail bound closed; larger support sizes are unverified")
+    return EnvelopeResult(t, value, argmax, k_last, HARD_CAP_HIT, warning)
 
 
-def _weak_max(t: Threshold, n: int | None, policy: TruncationPolicy) -> tuple[Dyadic, int, str]:
-    """Largest weak tail over support sizes (the envelope's left limit at t).
-
-    Finite when n is given, Berry-Esseen truncated otherwise.  Returns
-    (value, smallest witness k, certificate).
-    """
+def _weak_max(t: Threshold, k_to: int) -> tuple[Dyadic, int]:
+    """Largest weak tail over support sizes k <= k_to (the envelope's left
+    limit at t), stopped early by the tail bound.  Returns (value, smallest
+    witness k)."""
     k0 = k_min(t)
-    if n is not None:
-        if k0 > n:
-            return DYADIC_ZERO, 1, BERRY_ESSEEN_CLOSED
-        value, argmax, _, cert = _max_scan(t, k0, n, _weak_numerator, None)
-    else:
-        value, argmax, _, cert = _max_scan(
-            t, k0, policy.k_cap, _weak_numerator, _be_stop(float(t), policy))
-    return value, argmax[0], cert
+    if k0 > k_to:
+        return DYADIC_ZERO, 1
+    value, argmax, _, _ = _max_scan(t, k0, k_to, _weak_numerator)
+    return value, argmax[0]
 
 
 def atom_grid(k_max: int, lo: Threshold, hi: Threshold) -> tuple[LatticeValue, ...]:
@@ -338,42 +360,45 @@ def _require_alpha(alpha: Fraction) -> None:
         raise DomainError("alpha must lie in (0, 1/2)")
 
 
-def _crossing_max(alpha: Fraction, k_to: int,
-                  policy: TruncationPolicy | None) -> Threshold:
+def _crossing_max(alpha: Fraction, k_to: int) -> tuple[Threshold, bool]:
     """Largest crossing atom max_k c_k over k = 1..k_to, or a DomainError.
 
     J = j* - 1 is the last index from the top whose weak tail stays at or
     below alpha, so S = W_{j*-1} and S + CJ1 = W_{j*}, the weak-tail
     counts at the atoms above and at c_k.  c_k is closed (mid_tail(k, c_k)
-    <= alpha) iff W_{j*-1} + W_{j*} <= alpha * 2^(k+1).  With a policy the
-    scan stops once the Berry-Esseen bound at the running maximum drops to
-    alpha, since every later k then has weak tail <= alpha there.
+    <= alpha) iff W_{j*-1} + W_{j*} <= alpha * 2^(k+1).  The scan stops
+    once the tail ceiling at the running maximum drops to alpha, since
+    every later k then has weak tail <= alpha there.  Returns (the
+    maximum, whether that ceiling stopped the scan).
     """
     num, den = alpha.numerator, alpha.denominator
-    alpha_float = float(alpha)
+    quantile = _prescreen_quantile(float(alpha))
 
     def weak_le_alpha(k: int, J: int, S: int, CJ1: int) -> bool:
         return (S + CJ1) * den <= num << k
 
     # c_1 = 1 > 0 always, so the seed (0, 1) is replaced at k = 1
     best_a, best_k, best_open = 0, 1, False
-    stop = None
+    k_try = math.inf
+    closed = False
     for k, J, S, CJ1 in _pascal_scan(1, k_to, weak_le_alpha):
         a = k - 2 * (J + 1)
         is_open = (2 * S + CJ1) * den > num << (k + 1)
         c = a * a * best_k - best_a * best_a * k   # a, best_a >= 0
         if c > 0:
             best_a, best_k, best_open = a, k, is_open
-            if policy is not None:
-                stop = _be_stop(a / math.sqrt(k), policy)
+            k_try = _closing_k(a / math.sqrt(k), quantile)
         elif c == 0:
             best_open = best_open or is_open
-        if stop is not None and stop(k + 1) <= alpha_float:
-            break
+        if k + 1 >= k_try:
+            ceiling = _tail_ceiling(best_a * best_a, best_k, k + 1)
+            if ceiling is not None and ceiling[0] * den <= num << ceiling[1]:
+                closed = True
+                break
     if best_open:
         raise DomainError("the envelope passes below alpha without attaining it; "
                           "no smallest threshold exists for this alpha")
-    return LatticeValue(best_a, best_k).to_threshold()
+    return LatticeValue(best_a, best_k).to_threshold(), closed
 
 
 def quantile_universal(alpha: Fraction,
@@ -385,12 +410,10 @@ def quantile_universal(alpha: Fraction,
     """
     policy = policy or TruncationPolicy()
     _require_alpha(alpha)
-    t_star = _crossing_max(alpha, policy.k_cap, policy)
+    t_star, closed = _crossing_max(alpha, policy.k_cap)
     env = universal_envelope(t_star, policy)
-    left_limit, witness, _ = _weak_max(t_star, None, policy)
-    capped = (env.certificate == HARD_CAP_HIT
-              and _be_stop(float(t_star), policy)(policy.k_cap) > float(alpha))
-    return QuantileResult(alpha, t_star, env.value, left_limit, witness, capped)
+    left_limit, witness = _weak_max(t_star, policy.k_cap)
+    return QuantileResult(alpha, t_star, env.value, left_limit, witness, not closed)
 
 
 def quantile_finite(n: int, alpha: Fraction) -> QuantileResult:
@@ -402,7 +425,7 @@ def quantile_finite(n: int, alpha: Fraction) -> QuantileResult:
         raise DomainError(f"alpha below 2^-{n + 1}: the n={n} envelope only "
                           "falls that low past its largest atom, so no "
                           "smallest threshold exists")
-    t_star = _crossing_max(alpha, n, None)
-    left_limit, witness, _ = _weak_max(t_star, n, TruncationPolicy())
+    t_star, _ = _crossing_max(alpha, n)
+    left_limit, witness = _weak_max(t_star, n)
     value_at = envelope_mid_tail(n, t_star).value
     return QuantileResult(alpha, t_star, value_at, left_limit, witness)

@@ -455,7 +455,8 @@ def _pair_probe(i: int, j: int, minus: tuple[tuple[int, int], ...],
                      Fraction(med_minus, denom), med_minus > 0)
 
 
-def equalisation_probe(w: WeightVector, x: Fraction) -> ProbeReport:
+def equalisation_probe(w: WeightVector, x: Fraction,
+                       dist: ExactDist | None = None) -> ProbeReport:
     """First-order equalisation check at a positive atom x.
 
     Scans every unequal positive coordinate pair.  The selected pair is
@@ -469,7 +470,8 @@ def equalisation_probe(w: WeightVector, x: Fraction) -> ProbeReport:
     four counts of the other n-2 coordinates: the full table divided by
     (z^{L w_j} + z^{-L w_j}) (one table per distinct weight) and then by
     (z^{L w_i} + z^{-L w_i}) at the points needed.  The fiber size is the
-    full count at L*x.
+    full count at L*x.  ``dist`` may carry a precomputed
+    ``enumerate_dist(w)``, whose integer sums are that full table.
     """
     require_size(w.n)
     x = Fraction(x)
@@ -480,14 +482,16 @@ def equalisation_probe(w: WeightVector, x: Fraction) -> ProbeReport:
         return ProbeReport(applicable=False, x=x,
                            reason="all nonzero coordinates are equal")
     iw, denom = _scaled_weights(w)
-    full = _scaled_counts(iw)
+    if dist is None:
+        dist = enumerate_dist(w)
+    full = dict(zip(dist.sums, dist.counts))
     target = x * denom
     fiber_size = full.get(target.numerator, 0) if target.denominator == 1 else 0
     if not fiber_size:
         raise EmptyFiberError(f"{x} is not an atom of the distribution")
     X = target.numerator
     total = sum(iw)
-    desc = sorted(full.items(), reverse=True)
+    desc = list(zip(reversed(dist.sums), reversed(dist.counts)))
     largest = max(iw)
     # leave-one-out tables: every positive weight below the largest is some
     # pair's smaller weight

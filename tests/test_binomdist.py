@@ -93,6 +93,33 @@ def test_tail_sandwich_and_atom_boundary():
             assert s == m == w
 
 
+def _pmf_tails(k, t):
+    """(strict, weak) tail summed over the pmf table, an independent route."""
+    strict = weak = Dyadic(0, 0)
+    for v, p in pmf(k).entries:
+        c = cmp_lattice_threshold(v, t)
+        if c is not Ordering.LT:
+            weak = weak.add(p)
+            if c is Ordering.GT:
+                strict = strict.add(p)
+    return strict, weak
+
+
+def test_tails_match_pmf_sums():
+    # every branch of the centre walk: below and past the centre, on and
+    # off atoms, odd and even k, the top atom and beyond it
+    rng = random.Random(77)
+    cases = [(k, _random_threshold(rng)) for k in range(1, 60) for _ in range(6)]
+    cases += [(k, LatticeValue(2 * m - k, k).to_threshold())
+              for k in (1, 2, 7, 10, 31) for m in range(k + 1) if 2 * m != k]
+    cases += [(k, T(s)) for k in (301, 1000, 1001) for s in ("-3/2", "0", "1", "sqrt(5)", "40")]
+    for k, t in cases:
+        strict, weak = _pmf_tails(k, t)
+        assert strict_tail(k, t) == strict, (k, t)
+        assert weak_tail(k, t) == weak, (k, t)
+        assert mid_tail(k, t) == strict.add(weak).halve(), (k, t)
+
+
 def test_mid_tail_symmetry():
     rng = random.Random(99)
     for _ in range(200):

@@ -33,13 +33,20 @@ def test_envelope_universal(capsys):
     assert (value["num"], value["exp"]) == ("9", 8)
     assert value["decimal"] == "0.035156"
     assert payload["results"]["argmax_k"] == [8]
-    assert payload["results"]["certificate"] == "berry_esseen_closed"
+    assert payload["results"]["certificate"] == "zubkov_serov_closed"
 
 
 def test_envelope_finite(capsys):
     payload = run_json(capsys, "envelope", "--t", "sqrt(3)", "--n", "4")
     assert payload["results"]["value"]["dyadic"] == "1/16"
     assert payload["results"]["argmax_k"] == [3, 4]
+
+
+def test_envelope_finite_stops_early(capsys):
+    # the tail bound closes t = 7/2 at k = 662, whatever n is
+    payload = run_json(capsys, "envelope", "--t", "7/2", "--n", "1000000")
+    assert payload["results"]["k_searched"] < 1000
+    assert payload["results"]["argmax_k"] == [51]
 
 
 def test_envelope_negative_t_is_domain_error(capsys):
@@ -252,10 +259,21 @@ GOLDEN_QUANTILE_1_100 = """\
       "decimal": "0.010742"
     },
     "witness_k_left": 10,
-    "capped": true
+    "capped": false
   },
   "version": "0.1.0"
 }
+"""
+
+GOLDEN_COMPARE = """\
+t,k_star,exact,hoeffding,ratio,gaussian
+1,1,1/4=0.250000,0.606531,0.412180,0.158655
+3/2,3,1/8=0.125000,0.324652,0.385027,0.066807
+sqrt(3),3,1/16=0.062500,0.223130,0.280106,0.041632
+2,8,9/256=0.035156,0.135335,0.259772,0.022750
+sqrt(5),9,5/256=0.019531,0.082085,0.237939,0.012674
+sqrt(6),13,23/2048=0.011230,0.049787,0.225570,0.007153
+3,28,249589/134217728=0.001860,0.011109,0.167394,0.001350
 """
 
 GOLDEN_QUANTILE_N6 = """\
@@ -425,6 +443,7 @@ GOLDEN_LEMMA_RANDOM = """\
     (("oracle", "--weights", "1,2,2", "--alpha", "1/4"), GOLDEN_ORACLE_ALPHA),
     (("lemma-check", "--weights", "3,4", "--x", "7/5"), GOLDEN_LEMMA_ATOM),
     (("lemma-check", "--n", "6", "--trials", "5", "--seed", "42"), GOLDEN_LEMMA_RANDOM),
+    (("compare",), GOLDEN_COMPARE),
 ])
 def test_golden_stdout(capsys, argv, expected):
     code, out, err = run(capsys, *argv)

@@ -1,16 +1,17 @@
 """Envelope search, certified truncation, quantiles."""
 
 import bisect
-import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from rademax import envelope
 from rademax.binomdist import mid_tail, weak_tail
 from rademax.envelope import (
-    BERRY_ESSEEN_CLOSED,
     HARD_CAP_HIT,
+    ZUBKOV_SEROV_CLOSED,
     TruncationPolicy,
     atom_grid,
     envelope_mid_tail,
@@ -18,11 +19,12 @@ from rademax.envelope import (
     quantile_finite,
     quantile_universal,
     universal_envelope,
+    _tail_ceiling,
     _tail_scan,
 )
 from rademax.errors import DomainError
 from rademax.exactnum import Dyadic, Ordering, Threshold
-from rademax.normal import gaussian_upper_tail, hoeffding_bound
+from rademax.normal import hoeffding_bound
 from rademax.oracle import WeightVector, enumerate_dist, normalized_mid_tail
 
 T = Threshold.parse
@@ -85,6 +87,20 @@ def test_envelope_result_invariants():
                 assert mid_tail(k, t) < r.value
 
 
+def test_envelope_mid_tail_matches_direct_sums():
+    # the early stop at min(n, K_close) against sums over every k = 1..n
+    rng = random.Random(400)
+    for _ in range(12):
+        n = rng.randrange(1, 401)
+        t = Threshold.from_square(1, Fraction(rng.randrange(1, 160), rng.randrange(1, 13)))
+        r = envelope_mid_tail(n, t)
+        values = [mid_tail(k, t) for k in range(1, n + 1)]
+        best = max(values)
+        assert r.value == best, (n, t)
+        assert r.argmax_k == tuple(k for k, v in enumerate(values, 1) if v == best), (n, t)
+        assert r.k_searched <= n
+
+
 def test_envelope_monotone_in_n():
     for s in ("1", "3/2", "2", "sqrt(3)"):
         t = T(s)
@@ -126,21 +142,88 @@ def test_universal_envelope_ties_at_sqrt3():
 
 
 def test_universal_envelope_certificates():
-    assert universal_envelope(T("2")).certificate == BERRY_ESSEEN_CLOSED
-    r = universal_envelope(T("3"))  # Berry-Esseen gap too small at the default cap
+    assert universal_envelope(T("2")).certificate == ZUBKOV_SEROV_CLOSED
+    # t = 3 closes at k = 409, past this cap
+    r = universal_envelope(T("3"), TruncationPolicy(k_cap=64))
     assert r.certificate == HARD_CAP_HIT
     assert r.warning is not None
-    assert r.k_searched == 4096
+    assert r.k_searched == 64
+
+
+def _scan_max(t, k_to):
+    """(max mid-tail, argmax) over k_min(t)..k_to by the scan engine alone."""
+    best, argmax = None, []
+    for k, strict, atom_c in _tail_scan(t, k_min(t), k_to):
+        value = Dyadic(2 * strict + atom_c, k + 1)
+        if best is None or value > best:
+            best, argmax = value, [k]
+        elif value == best:
+            argmax.append(k)
+    return best, tuple(argmax)
 
 
 def test_certificate_soundness_extension():
     # extending a closed search 64 sizes past the stop never changes the result
-    for s in ("1", "3/2", "sqrt(2)", "2"):
+    for s in ("1", "3/2", "sqrt(2)", "2", "sqrt(5)", "sqrt(6)", "3"):
         r = universal_envelope(T(s))
-        assert r.certificate == BERRY_ESSEEN_CLOSED
-        extended = envelope_mid_tail(r.k_searched + 64, T(s))
-        assert extended.value == r.value
-        assert tuple(k for k in extended.argmax_k) == r.argmax_k
+        assert r.certificate == ZUBKOV_SEROV_CLOSED
+        assert _scan_max(T(s), r.k_searched + 64) == (r.value, r.argmax_k), s
+
+
+def test_reference_grid_closure_points():
+    # the first K where the tail bound drops below the envelope is k_searched + 1
+    closes = {"1": 38, "3/2": 33, "sqrt(3)": 103, "2": 111, "sqrt(5)": 135,
+              "sqrt(6)": 144, "3": 409, "7/2": 662}
+    for s, k_close in closes.items():
+        r = universal_envelope(T(s))
+        assert (r.certificate, r.k_searched + 1) == (ZUBKOV_SEROV_CLOSED, k_close), s
+
+
+def _ceiling_holds(t, k):
+    """weak_tail(k, t) <= the exact ceiling at k, compared as integers."""
+    u, prec = _tail_ceiling(t.sq.numerator, t.sq.denominator, k)
+    w = weak_tail(k, t)
+    return w.num << prec <= u << w.exp
+
+
+@pytest.mark.parametrize("s", ["1/2", "1", "3/2", "37/20", "2", "5/2", "3", "7/2",
+                               "sqrt(3)", "sqrt(5)", "sqrt(6)", "sqrt(15/2)", "2.9"])
+def test_tail_ceiling_is_sound(s):
+    # the bound P(S_K >= t) <= Phi-bar(t - 2/sqrt(K)) at every K <= 1500 it covers
+    t = T(s)
+    p, q = t.sq.numerator, t.sq.denominator
+    assert _tail_ceiling(p, q, 4 * q // p) is None  # t sqrt(K) <= 2
+    for k in range(4 * q // p + 1, 1501):
+        assert _ceiling_holds(t, k), (s, k)
+
+
+def test_tail_ceiling_with_a_halved_shift_fails():
+    # Phi-bar(t - 1/sqrt(K)) is no bound: at t = 1, K = 4 it is Phi-bar(1/2),
+    # the exact ceiling at t = 1, K = 16, and P(S_4 >= 1) = 5/16 exceeds it
+    u, prec = _tail_ceiling(1, 1, 16)
+    w = weak_tail(4, T("1"))
+    assert w == Dyadic(5, 4)
+    assert w.num << prec > u << w.exp
+
+
+@pytest.mark.parametrize("s", ["1/2", "1", "sqrt(3)", "2", "sqrt(6)", "3", "7/2", "5/3"])
+def test_float_prescreen_never_delays_closure(monkeypatch, s):
+    # attempting the exact ceiling at every k gives the same stops: only the
+    # exact comparison decides where a scan closes
+    t = T(s)
+    policy = TruncationPolicy(k_cap=800)
+    alphas = [Fraction(1, d) for d in (4, 10, 20, 40, 100, 1000)] + [Fraction(3, 7)]
+
+    def results():
+        out = [universal_envelope(t, policy), envelope_mid_tail(700, t)]
+        for alpha in alphas:
+            out.append(quantile_universal(alpha, policy))
+            out.append(quantile_finite(500, alpha))
+        return out
+
+    screened = results()
+    monkeypatch.setattr(envelope, "_closing_k", lambda x, quantile: 0)
+    assert results() == screened
 
 
 def test_universal_envelope_monotone_in_t():
@@ -213,20 +296,14 @@ def test_quantile_universal_alpha_tenth_self_consistent():
 
 
 def test_quantile_sandwich_exact():
-    certifiable = {(1, 20), (1, 40), (1, 10), (1, 4), (1, 13), (3, 7)}
-    for num, den in sorted(certifiable | {(1, 100)}):
+    for num, den in [(1, 20), (1, 40), (1, 10), (1, 4), (1, 13), (3, 7), (1, 100), (1, 1000)]:
         alpha = Fraction(num, den)
         q = quantile_universal(alpha)
         assert q.value_at.compare_to_ratio(alpha) is not Ordering.GT
         assert q.left_limit.compare_to_ratio(alpha) is Ordering.GT
         assert weak_tail(q.witness_k_left, q.t_star) == q.left_limit
-        if (num, den) in certifiable:
-            # Berry-Esseen certifies these fully at the default cap
-            assert not q.capped
-        else:
-            # alpha = 1/100: the ceiling at k_cap=4096 cannot certify the
-            # accept decision, and the result says so
-            assert q.capped
+        # the tail bound certifies every one of these at the default cap
+        assert not q.capped
 
 
 def test_quantile_universal_rejects_bad_alpha():
@@ -304,10 +381,13 @@ def test_quantile_universal_matches_breakpoint_scan(k_cap):
                 quantile_universal(alpha, policy)
             outcomes.add("error")
             continue
-        ceiling = (gaussian_upper_tail(float(t)) + policy.be_constant / math.sqrt(k_cap)
-                   + policy.safety_margin)
-        capped = (universal_envelope(t, policy).certificate == HARD_CAP_HIT
-                  and ceiling > float(alpha))
+        # capped: the bound for every k > k_cap, Phi-bar(t - 2/sqrt(k_cap + 1)),
+        # still exceeds alpha (mpmath as the independent route)
+        with mpmath.workdps(40):
+            x = mpmath.sqrt(mpmath.mpf(t.sq.numerator) / t.sq.denominator) \
+                - 2 / mpmath.sqrt(k_cap + 1)
+            capped = (t.sq * (k_cap + 1) <= 4
+                      or mpmath.ncdf(-x) > mpmath.mpf(alpha.numerator) / alpha.denominator)
         q = quantile_universal(alpha, policy)
         assert (q.t_star, q.value_at, q.left_limit, q.witness_k_left, q.capped) \
             == (t, value, left, witness, capped), alpha

@@ -313,8 +313,11 @@ def _assert_probe_matches_fiber_walk(w: WeightVector) -> None:
             assert x not in d.values
             with pytest.raises(EmptyFiberError):
                 _slow_probe(w, x)
+            with pytest.raises(EmptyFiberError):
+                equalisation_probe(w, x, d)
         else:
             assert fast == _slow_probe(w, x), (w, x)
+            assert equalisation_probe(w, x, d) == fast  # the CLI passes its law in
 
 
 def test_probe_matches_fiber_walk():
