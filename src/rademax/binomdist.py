@@ -8,8 +8,8 @@ tail functionals here are exact dyadics:
     weak_tail(k, t)   = P(S >= t)
     mid_tail(k, t)    = P(S > t) + P(S = t)/2 = (strict + weak)/2
 
-Boundary atoms are detected by exact comparison (t is an atom iff its
-sign matches and t^2 equals (2m-k)^2/k for an m of the right parity);
+The boundary index comes in closed form from integer square roots of
+p*k/q for t^2 = p/q, and t is the boundary atom iff (2m-k)^2 q = p k;
 no floating floor of (k - t*sqrt(k))/2 is ever taken.  A tail sum past
 the centre is the half-mass minus the few coefficients between the centre
 and the boundary (about t*sqrt(k)/2 of them), and one below the centre
@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import (
-    Dyadic,
-    LatticeValue,
-    Ordering,
-    Threshold,
-    cmp_lattice_threshold,
-)
+from .exactnum import Dyadic, LatticeValue, Threshold
 
 
 @dataclass(frozen=True)
@@ -61,19 +55,21 @@ def pmf(k: int) -> AtomTable:
 def _boundary(k: int, t: Threshold, strict: bool) -> int:
     """Smallest m whose atom (2m-k)/sqrt(k) exceeds (or reaches) t.
 
-    Returns k+1 when no atom qualifies.  Binary search over the increasing
-    atom sequence with exact comparisons.
+    Returns k+1 when no atom qualifies.  Closed form: for t = sqrt(p/q) > 0
+    the least integer a with a > t*sqrt(k) is isqrt(p*k // q) + 1, and the
+    least with a >= t*sqrt(k) is the ceiling square root of ceil(p*k / q);
+    then m = ceil((a + k) / 2).  t <= 0 follows by the symmetry m -> k - m.
     """
-    lo, hi = 0, k + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = cmp_lattice_threshold(LatticeValue(2 * mid - k, k), t)
-        qualifies = c is Ordering.GT or (not strict and c is Ordering.EQ)
-        if qualifies:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    if t.sign < 0:
+        return k + 1 - _boundary(k, t.negated(), not strict)
+    if t.sign == 0:
+        return (k + 2) // 2 if strict else (k + 1) // 2
+    p, q = t.sq.numerator, t.sq.denominator
+    if strict:
+        a = math.isqrt(p * k // q) + 1
+    else:
+        a = math.isqrt(-(-p * k // q) - 1) + 1
+    return min((a + k + 1) // 2, k + 1)
 
 
 def _upper_count(k: int, m0: int) -> tuple[int, int]:
@@ -123,7 +119,10 @@ def mid_tail(k: int, t: Threshold) -> Dyadic:
     _require_k(k)
     m0 = _boundary(k, t, strict=False)
     weak, coeff = _upper_count(k, m0)
-    on_atom = m0 <= k and cmp_lattice_threshold(LatticeValue(2 * m0 - k, k), t) is Ordering.EQ
+    p, q = t.sq.numerator, t.sq.denominator
+    # the weak boundary's atom a/sqrt(k) is t exactly when a^2 q = p k: a
+    # positive a there cannot meet a negative t
+    on_atom = m0 <= k and (2 * m0 - k) ** 2 * q == p * k
     return Dyadic(2 * weak - (coeff if on_atom else 0), k + 1)
 
 

@@ -11,7 +11,8 @@ lost in transport.  Identical invocations produce byte-identical bytes.
 ``--threads`` is accepted and ignored; output never depends on it, and it
 is not echoed.
 
-Exit codes: 0 success, 2 usage or parse error, 3 domain error.
+Exit codes: 0 success, 2 usage or parse error, 3 domain error; 1 with
+no traceback when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -74,6 +76,13 @@ def _parse_weights(text: str) -> WeightVector:
     if not parts:
         raise ParseError("empty weight list")
     return WeightVector(tuple(parse_ratio(p) for p in parts))
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad integer {text!r}") from exc
 
 
 def _parse_threshold_list(text: str) -> list[Threshold]:
@@ -137,7 +146,7 @@ def _cmd_quantile(args) -> str:
 
 
 def _cmd_table(args) -> str:
-    ns = [int(p) for p in args.ns.split(",") if p.strip() != ""]
+    ns = [_parse_int(p) for p in args.ns.split(",") if p.strip() != ""]
     alphas = [_parse_alpha(p) for p in args.alphas.split(",") if p.strip() != ""]
     if not ns or not alphas:
         raise ParseError("empty --ns or --alphas list")
@@ -401,4 +410,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the unwritten rest to devnull, so that
+        # the flush at interpreter exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

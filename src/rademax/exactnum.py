@@ -94,9 +94,10 @@ class Dyadic:
         if num == 0:
             exp = 0
         else:
-            while num & 1 == 0 and exp > 0:
-                num >>= 1
-                exp -= 1
+            # strip the trailing zero bits of num, at most exp of them
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

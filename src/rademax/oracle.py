@@ -3,11 +3,24 @@
 For a nonnegative rational weight vector w of length n, all 2^n sign
 patterns are equally likely, so the law of sum(w_i * e_i) follows from
 counting patterns per achieved value.  Everything lives on one integer
-lattice: with L the common denominator of the weights, ``enumerate_dist``
-convolves the integer weights L*w_i one coordinate at a time into a count
-table (patterns per integer sum), and ``ExactDist`` keeps those integer
-sums, their counts and L.  No floats appear anywhere, and a ``Fraction``
-is built only for an atom that is returned.
+lattice: with L the common denominator of the weights, the count table
+(patterns per integer sum) of the integer weights w_i = L*w_i is the
+coefficient list of prod(1 + z^{w_i}), slot s holding the sum 2s - W for
+W = sum w_i.  ``ExactDist`` keeps those integer sums, their counts and L.
+No floats appear anywhere, and a ``Fraction`` is built only for an atom
+that is returned.
+
+``enumerate_dist`` builds the table by Kronecker substitution (Schoenhage
+1982; Harvey, J. Symbolic Comput. 44, 2009): it evaluates the product at
+z = 2^b as one Python int, with n shift-adds ``P += P << (b*w_i)``, and
+reads the W + 1 slots back in one ``array`` conversion.  A slot is b bits
+wide, b the narrowest array item width above n, so no count (at most 2^n)
+carries into the next slot.  A dense table costs W + 1 slots, so a sparse
+lattice (weights 1 and 10^12, or rationals with a large common
+denominator) keeps the dict convolution instead.  The packed route is taken
+when W + 1 <= max(4 * 2^n, 2^16), so its table holds at most four slots of
+a few bytes per sign pattern (or 2^16 slots), where a dict spends about a
+hundred bytes per distinct sum.
 
 The unit-sphere normalisation is never imposed on stored weights:
 comparisons of an atom s against t * ||w|| square both sides, keeping
@@ -36,6 +49,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +62,9 @@ from .errors import DomainError, EmptyFiberError, SizeLimitError
 from .exactnum import Dyadic, Threshold
 
 MAX_COORDINATES = 24
+
+# (bits, typecode) of the unsigned array items a packed slot can use
+_SLOT_TYPES = tuple((8 * array(code).itemsize, code) for code in "BHIQ")
 
 _SIGN_CHOICES = (1, -1)  # +1 first: patterns enumerate in lexicographic order
 
@@ -89,16 +108,17 @@ class ExactDist:
     denom: int = 1
 
     def __post_init__(self) -> None:
+        sums, counts = self.sums, self.counts
         if self.denom < 1:
             raise ValueError("the lattice denominator must be >= 1")
-        if len(self.sums) != len(self.counts):
+        if len(sums) != len(counts):
             raise ValueError("need one pattern count per atom")
-        if sum(self.counts) != 1 << self.n:
+        if sum(counts) != 1 << self.n:
             raise ValueError("pattern counts must sum to 2^n")
-        if any(a >= b for a, b in zip(self.sums, self.sums[1:])):
+        if not all(map(operator.lt, sums, sums[1:])):
             raise ValueError("atom values must be strictly increasing")
-        if any(a != -b for a, b in zip(self.sums, reversed(self.sums))) \
-                or self.counts != self.counts[::-1]:
+        if list(map(operator.neg, reversed(sums))) != list(sums) \
+                or counts != counts[::-1]:
             raise ValueError("distribution must be symmetric about 0")
 
     @property
@@ -234,7 +254,7 @@ def require_size(n: int) -> None:
 def _scaled_weights(w: WeightVector) -> tuple[list[int], int]:
     """Integer weights on a common denominator L (values are atoms / L)."""
     denom = math.lcm(*(x.denominator for x in w.w))
-    return [int(x * denom) for x in w.w], denom
+    return [x.numerator * (denom // x.denominator) for x in w.w], denom
 
 
 def _scaled_counts(iw: list[int]) -> dict[int, int]:
@@ -248,16 +268,56 @@ def _scaled_counts(iw: list[int]) -> dict[int, int]:
     return counts
 
 
-def _dist(n: int, counts: dict[int, int], denom: int) -> ExactDist:
+def _sorted_table(counts: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sums, counts) of a count dict, by increasing sum."""
     sums = sorted(counts)
-    return ExactDist(n, tuple(sums), tuple(counts[s] for s in sums), denom)
+    return tuple(sums), tuple(counts[s] for s in sums)
+
+
+def _slot_type(n: int) -> tuple[int, str]:
+    """(bits, typecode) of the narrowest slot that holds every count of an
+    n-coordinate table: counts are at most 2^n, so n < bits."""
+    for bits, code in _SLOT_TYPES:
+        if n < bits:
+            return bits, code
+    raise SizeLimitError(f"n={n} coordinates overflow every packed slot width")
+
+
+def _packed_table(iw: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sums, counts) of the dense route: prod(1 + z^{w_i}) at z = 2^bits.
+
+    Slot s of the packed integer counts the patterns with sum 2s - W.
+    """
+    bits, code = _slot_type(len(iw))
+    total = sum(iw)
+    packed = 1
+    for wi in iw:
+        packed += packed << (bits * wi)
+    slots = array(code, packed.to_bytes(bits // 8 * (total + 1), "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return (tuple(itertools.compress(range(-total, total + 1, 2), slots)),
+            tuple(filter(None, slots)))
+
+
+def _is_dense(n: int, total: int) -> bool:
+    """Whether a table of W + 1 slots takes the packed route: at most four
+    slots per sign pattern, or 2^16 slots."""
+    return total + 1 <= max(4 << n, 1 << 16)
 
 
 def enumerate_dist(w: WeightVector) -> ExactDist:
-    """Exact law of the weighted sign sum over all 2^n equiprobable patterns."""
+    """Exact law of the weighted sign sum over all 2^n equiprobable patterns.
+
+    Dense lattices take the packed table, sparse ones the dict convolution.
+    """
     require_size(w.n)
     iw, denom = _scaled_weights(w)
-    return _dist(w.n, _scaled_counts(iw), denom)
+    if _is_dense(w.n, sum(iw)):
+        table = _packed_table(iw)
+    else:
+        table = _sorted_table(_scaled_counts(iw))
+    return ExactDist(w.n, *table, denom)
 
 
 def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
@@ -268,14 +328,14 @@ def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
     for eps in itertools.product(_SIGN_CHOICES, repeat=w.n):
         s = sum(e * wi for e, wi in zip(eps, iw))
         counts[s] = counts.get(s, 0) + 1
-    return _dist(w.n, counts, denom)
+    return ExactDist(w.n, *_sorted_table(counts), denom)
 
 
 # ---------------------------------------------------------------------------
 # Normalised tail functionals
 # ---------------------------------------------------------------------------
 
-def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: Fraction) -> int:
+def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: int) -> int:
     """Sign of s/sqrt(w2_scaled) - t, all integer arithmetic."""
     ssign = (s > 0) - (s < 0)
     if ssign != t.sign:
@@ -283,7 +343,7 @@ def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: Fraction) -> int:
     if ssign == 0:
         return 0
     p, q = t.sq.numerator, t.sq.denominator
-    square_cmp = s * s * q * w2_scaled.denominator - p * w2_scaled.numerator
+    square_cmp = s * s * q - p * w2_scaled
     square_sign = (square_cmp > 0) - (square_cmp < 0)
     return square_sign if ssign > 0 else -square_sign
 
@@ -298,7 +358,8 @@ def normalized_mid_tail(w: WeightVector, t: Threshold,
     require_size(w.n)
     if dist is None:
         dist = enumerate_dist(w)
-    w2_scaled = w.norm_sq * dist.denom * dist.denom
+    # ||w||^2 on the lattice: sum of (denom * w_i)^2, an integer
+    w2_scaled = sum((x.numerator * (dist.denom // x.denominator)) ** 2 for x in w.w)
 
     def side(s: int) -> int:
         return _cmp_scaled_atom(s, t, w2_scaled)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rademax.binomdist import mid_quantile, mid_tail, pmf, strict_tail, weak_tail
+from rademax.binomdist import _boundary, mid_quantile, mid_tail, pmf, strict_tail, weak_tail
 from rademax.errors import DomainError
 from rademax.exactnum import (
     DYADIC_ONE,
@@ -15,6 +15,7 @@ from rademax.exactnum import (
     Threshold,
     cmp_lattice_threshold,
 )
+from slow_routes import boundary_by_bisection
 
 T = Threshold.parse
 
@@ -118,6 +119,40 @@ def test_tails_match_pmf_sums():
         assert strict_tail(k, t) == strict, (k, t)
         assert weak_tail(k, t) == weak, (k, t)
         assert mid_tail(k, t) == strict.add(weak).halve(), (k, t)
+
+
+def _grammar_thresholds(rng: random.Random, k: int) -> list[Threshold]:
+    """Thresholds near the atoms of S_k in every grammar form, signed."""
+    x = rng.uniform(0, 1.2 * k ** 0.5)
+    d = rng.randrange(1, 10**6)
+    texts = [str(round(x)), f"{x:.4f}", f"{round(x * d)}/{d}",
+             f"sqrt({round(x * x)})", f"sqrt({round(x * x * d)}/{d})"]
+    ts = [T(s) for s in texts]
+    a = rng.randrange(-k, k + 1, 2)  # an exact atom of S_k
+    ts.append(LatticeValue(a, k).to_threshold())
+    return ts + [t.negated() for t in ts]
+
+
+def test_boundary_matches_bisection():
+    # random k <= 3000, every grammar form, exact atoms, 0 and negative t
+    rng = random.Random(1618)
+    for _ in range(400):
+        k = rng.randrange(1, 3001)
+        for t in _grammar_thresholds(rng, k) + [Threshold.zero()]:
+            for strict in (True, False):
+                assert _boundary(k, t, strict) == boundary_by_bisection(k, t, strict), \
+                    (k, str(t), strict)
+
+
+def test_boundary_at_every_atom_of_small_k():
+    for k in range(1, 40):
+        for a in range(-k, k + 1, 2):
+            t = LatticeValue(a, k).to_threshold()
+            for strict in (True, False):
+                assert _boundary(k, t, strict) == boundary_by_bisection(k, t, strict)
+        top = Threshold.from_square(1, Fraction(k + 1))
+        assert _boundary(k, top, False) == _boundary(k, top, True) == k + 1
+        assert _boundary(k, top.negated(), False) == 0
 
 
 def test_mid_tail_symmetry():

@@ -1,6 +1,10 @@
 """CLI surface: payload shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,32 @@ def test_table_pole(capsys):
 def test_table_bad_n(capsys):
     code, _, _ = run(capsys, "table", "--ns", "0", "--alphas", "0.05")
     assert code == 3
+
+
+def test_table_non_integer_n_is_parse_error(capsys):
+    code, out, err = run(capsys, "table", "--ns", "1,x", "--alphas", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad integer 'x'\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the read end is closed before the child starts, so its first write
+    # meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rademax", "envelope", "--t", "2", "--universal"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 def test_compare_default_grid(capsys):

@@ -97,6 +97,28 @@ def test_dyadic_canonical_forms():
         Dyadic(-1, 0)
 
 
+def _canonical_by_loop(num: int, exp: int) -> tuple[int, int]:
+    """Canonical (num, exp), one trailing bit per pass (the reference)."""
+    if num == 0:
+        return 0, 0
+    while num & 1 == 0 and exp > 0:
+        num >>= 1
+        exp -= 1
+    return num, exp
+
+
+def test_dyadic_canonical_form_matches_the_loop():
+    rng = random.Random(65537)
+    cases = [(rng.randrange(1, 1 << 40) << rng.randrange(0, 80), rng.randrange(0, 100))
+             for _ in range(2000)]
+    cases += [(1 << s, e) for s in (0, 1, 63, 64, 20000) for e in (0, 1, s - 1, s, s + 1, 20000)
+              if e >= 0]
+    cases += [((1 << 20000) - 1, 20000), (3 << 20000, 19999), (0, 5)]
+    for num, exp in cases:
+        d = Dyadic(num, exp)
+        assert (d.num, d.exp) == _canonical_by_loop(num, exp), (num.bit_length(), exp)
+
+
 def test_dyadic_add_sub_roundtrip():
     rng = random.Random(3)
     for _ in range(500):

@@ -1,6 +1,7 @@
 """Brute-force oracle: enumeration, fibers, probe, random search."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rademax import oracle
 from rademax.binomdist import mid_tail, pmf
 from rademax.errors import DomainError, EmptyFiberError, SizeLimitError
 from rademax.exactnum import DYADIC_ONE, Dyadic, Threshold
 from rademax.oracle import (
+    MAX_COORDINATES,
     ExactDist,
     Lcg,
     PairProbe,
@@ -70,6 +73,89 @@ def test_enumerate_guards():
         W(0, 0)
     with pytest.raises(DomainError):
         W(-1, 2)
+
+
+def _by_route(w: WeightVector, packed: bool) -> ExactDist:
+    """The law of w with the count table forced onto one route."""
+    iw, denom = oracle._scaled_weights(w)
+    if packed:
+        table = oracle._packed_table(iw)
+    else:
+        table = oracle._sorted_table(oracle._scaled_counts(iw))
+    return ExactDist(w.n, *table, denom)
+
+
+def test_both_routes_match_pattern_walk():
+    # zero weights, rational weights, n = 1, and a lattice too sparse for
+    # the packed route (its 2 * 10^12 slots are never built)
+    vectors = [W(5), W("1/3"), W(0, 0, 3), W(2, 0, 2, 1, 0), W("1/3", "1/2", "5/6"),
+               W("1/1000", "1/999", "3/7", 0), W(*range(1, 11)), W(7, 7, 7, 7)]
+    for w in vectors:
+        walk = dist_by_pattern_walk(w)
+        assert _by_route(w, packed=True) == _by_route(w, packed=False) == walk, w
+        assert enumerate_dist(w) == walk
+    sparse = W(1, 10**12, 3)
+    iw, _ = oracle._scaled_weights(sparse)
+    assert not oracle._is_dense(sparse.n, sum(iw))
+    assert enumerate_dist(sparse) == _by_route(sparse, packed=False) \
+        == dist_by_pattern_walk(sparse)
+
+
+def test_route_rule_follows_the_table_size():
+    assert oracle._is_dense(1, (1 << 16) - 1)
+    assert not oracle._is_dense(1, 1 << 16)
+    assert oracle._is_dense(20, (4 << 20) - 1)
+    assert not oracle._is_dense(20, 4 << 20)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.one_of(st.fractions(min_value=0, max_value=9, max_denominator=6),
+                          st.sampled_from([Fraction(0), Fraction(10**9), Fraction(1, 10**6)])),
+                min_size=1, max_size=8).filter(any))
+def test_routes_agree_property(vals):
+    w = W(*vals)
+    walk = dist_by_pattern_walk(w)
+    assert enumerate_dist(w) == _by_route(w, packed=False) == walk
+    iw, _ = oracle._scaled_weights(w)
+    if sum(iw) < 1 << 20:  # the packed route's table must fit in memory
+        assert _by_route(w, packed=True) == walk
+
+
+def test_packed_slots_hold_the_largest_counts():
+    n = MAX_COORDINATES
+    assert oracle._slot_type(n)[0] > n
+    # one positive weight among zeros: two atoms of 2^(n-1) patterns each
+    d = enumerate_dist(W(*([0] * (n - 1)), 1))
+    assert d.sums == (-1, 1) and d.counts == (1 << (n - 1), 1 << (n - 1))
+    # equal weights: the binomial coefficients
+    d = enumerate_dist(W(*([1] * n)))
+    assert d.counts == tuple(math.comb(n, m) for m in range(n + 1))
+    assert d.sums == tuple(range(-n, n + 1, 2))
+    # at every n, the narrowest slot still holds 2^(n-1)
+    for n in range(1, MAX_COORDINATES + 1):
+        d = _by_route(W(*([0] * (n - 1)), 3), packed=True)
+        assert d.counts == (1 << (n - 1), 1 << (n - 1)), n
+
+
+def test_slot_width_guard_rejects_too_many_coordinates():
+    widest = max(bits for bits, _ in oracle._SLOT_TYPES)
+    assert oracle._slot_type(widest - 1)[0] == widest
+    with pytest.raises(SizeLimitError):
+        oracle._slot_type(widest)
+
+
+def test_packed_route_is_validated(monkeypatch):
+    # a table that carried into the next slot loses patterns: ExactDist
+    # rejects it instead of returning a wrong law
+    packed = oracle._packed_table
+
+    def carried(iw):
+        sums, _ = packed(iw)
+        return sums, (1,) * len(sums)
+
+    monkeypatch.setattr(oracle, "_packed_table", carried)
+    with pytest.raises(ValueError, match="sum to 2"):
+        enumerate_dist(W(1, 2, 3))
 
 
 def test_exact_dist_validates_the_integer_law():
