@@ -13,14 +13,15 @@ that is returned.
 ``enumerate_dist`` builds the table by Kronecker substitution (Schoenhage
 1982; Harvey, J. Symbolic Comput. 44, 2009): it evaluates the product at
 z = 2^b as one Python int, with n shift-adds ``P += P << (b*w_i)``, and
-reads the W + 1 slots back in one ``array`` conversion.  A slot is b bits
-wide, b the narrowest array item width above n, so no count (at most 2^n)
-carries into the next slot.  A dense table costs W + 1 slots, so a sparse
-lattice (weights 1 and 10^12, or rationals with a large common
-denominator) keeps the dict convolution instead.  The packed route is taken
-when W + 1 <= max(4 * 2^n, 2^16), so its table holds at most four slots of
-a few bytes per sign pattern (or 2^16 slots), where a dict spends about a
-hundred bytes per distinct sum.
+reads the W + 1 slots back in one ``array`` conversion.  A slot is one
+32-bit array item, and counts are at most 2^n, so no count carries into
+the next slot while n < 32 (``MAX_COORDINATES`` is 24; a guard rejects a
+n >= 32 instead).  A dense table costs W + 1 slots whatever the number of
+distinct sums, so the packed route is taken only when W + 1 <= 2^16, which
+covers integer weights up to 100 at n <= 24 (the benchmark's oracle inputs
+have W <= 1600).  A sparse lattice (weights 1 and 10^12, rationals with a
+large common denominator, or 23 ones and one weight of 6.7e7) keeps the
+dict convolution, whose cost follows the number of distinct sums.
 
 The unit-sphere normalisation is never imposed on stored weights:
 comparisons of an atom s against t * ||w|| square both sides, keeping
@@ -63,8 +64,11 @@ from .exactnum import Dyadic, Threshold
 
 MAX_COORDINATES = 24
 
-# (bits, typecode) of the unsigned array items a packed slot can use
-_SLOT_TYPES = tuple((8 * array(code).itemsize, code) for code in "BHIQ")
+# A packed slot is one unsigned array item of 32 bits (the C unsigned int)
+_SLOT_CODE = "I"
+_SLOT_BITS = 8 * array(_SLOT_CODE).itemsize
+# The packed route's largest table, in slots (W + 1)
+_PACKED_SLOTS = 1 << 16
 
 _SIGN_CHOICES = (1, -1)  # +1 first: patterns enumerate in lexicographic order
 
@@ -274,46 +278,34 @@ def _sorted_table(counts: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(sums), tuple(counts[s] for s in sums)
 
 
-def _slot_type(n: int) -> tuple[int, str]:
-    """(bits, typecode) of the narrowest slot that holds every count of an
-    n-coordinate table: counts are at most 2^n, so n < bits."""
-    for bits, code in _SLOT_TYPES:
-        if n < bits:
-            return bits, code
-    raise SizeLimitError(f"n={n} coordinates overflow every packed slot width")
-
-
 def _packed_table(iw: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sums, counts) of the dense route: prod(1 + z^{w_i}) at z = 2^bits.
+    """(sums, counts) of the dense route: prod(1 + z^{w_i}) at z = 2^32.
 
     Slot s of the packed integer counts the patterns with sum 2s - W.
     """
-    bits, code = _slot_type(len(iw))
+    if len(iw) >= _SLOT_BITS:  # a count of 2^n needs n + 1 bits
+        raise SizeLimitError(f"n={len(iw)} coordinates overflow a "
+                             f"{_SLOT_BITS}-bit packed slot")
     total = sum(iw)
     packed = 1
     for wi in iw:
-        packed += packed << (bits * wi)
-    slots = array(code, packed.to_bytes(bits // 8 * (total + 1), "little"))
+        packed += packed << (_SLOT_BITS * wi)
+    slots = array(_SLOT_CODE, packed.to_bytes(_SLOT_BITS // 8 * (total + 1), "little"))
     if sys.byteorder == "big":
         slots.byteswap()
     return (tuple(itertools.compress(range(-total, total + 1, 2), slots)),
             tuple(filter(None, slots)))
 
 
-def _is_dense(n: int, total: int) -> bool:
-    """Whether a table of W + 1 slots takes the packed route: at most four
-    slots per sign pattern, or 2^16 slots."""
-    return total + 1 <= max(4 << n, 1 << 16)
-
-
 def enumerate_dist(w: WeightVector) -> ExactDist:
     """Exact law of the weighted sign sum over all 2^n equiprobable patterns.
 
-    Dense lattices take the packed table, sparse ones the dict convolution.
+    Tables of at most 2^16 slots are packed; larger ones, which only sparse
+    lattices need, take the dict convolution.
     """
     require_size(w.n)
     iw, denom = _scaled_weights(w)
-    if _is_dense(w.n, sum(iw)):
+    if sum(iw) < _PACKED_SLOTS:
         table = _packed_table(iw)
     else:
         table = _sorted_table(_scaled_counts(iw))
@@ -335,7 +327,7 @@ def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
 # Normalised tail functionals
 # ---------------------------------------------------------------------------
 
-def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: int) -> int:
+def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: Fraction) -> int:
     """Sign of s/sqrt(w2_scaled) - t, all integer arithmetic."""
     ssign = (s > 0) - (s < 0)
     if ssign != t.sign:
@@ -343,7 +335,7 @@ def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: int) -> int:
     if ssign == 0:
         return 0
     p, q = t.sq.numerator, t.sq.denominator
-    square_cmp = s * s * q - p * w2_scaled
+    square_cmp = s * s * q * w2_scaled.denominator - p * w2_scaled.numerator
     square_sign = (square_cmp > 0) - (square_cmp < 0)
     return square_sign if ssign > 0 else -square_sign
 
@@ -358,8 +350,7 @@ def normalized_mid_tail(w: WeightVector, t: Threshold,
     require_size(w.n)
     if dist is None:
         dist = enumerate_dist(w)
-    # ||w||^2 on the lattice: sum of (denom * w_i)^2, an integer
-    w2_scaled = sum((x.numerator * (dist.denom // x.denominator)) ** 2 for x in w.w)
+    w2_scaled = w.norm_sq * dist.denom * dist.denom
 
     def side(s: int) -> int:
         return _cmp_scaled_atom(s, t, w2_scaled)

@@ -95,17 +95,26 @@ def test_both_routes_match_pattern_walk():
         assert _by_route(w, packed=True) == _by_route(w, packed=False) == walk, w
         assert enumerate_dist(w) == walk
     sparse = W(1, 10**12, 3)
-    iw, _ = oracle._scaled_weights(sparse)
-    assert not oracle._is_dense(sparse.n, sum(iw))
     assert enumerate_dist(sparse) == _by_route(sparse, packed=False) \
         == dist_by_pattern_walk(sparse)
 
 
-def test_route_rule_follows_the_table_size():
-    assert oracle._is_dense(1, (1 << 16) - 1)
-    assert not oracle._is_dense(1, 1 << 16)
-    assert oracle._is_dense(20, (4 << 20) - 1)
-    assert not oracle._is_dense(20, 4 << 20)
+def test_route_rule_follows_the_table_size(monkeypatch):
+    routes = []
+    packed, convolved = oracle._packed_table, oracle._scaled_counts
+    monkeypatch.setattr(oracle, "_packed_table",
+                        lambda iw: routes.append("packed") or packed(iw))
+    monkeypatch.setattr(oracle, "_scaled_counts",
+                        lambda iw: routes.append("dict") or convolved(iw))
+    limit = oracle._PACKED_SLOTS
+    enumerate_dist(W(1, limit - 2))  # W + 1 = 2^16 slots
+    enumerate_dist(W(1, limit - 1))
+    enumerate_dist(W("1/2", "1/3"))
+    # many coordinates and one large weight: 48 distinct sums, not 6.7e7 slots
+    d = enumerate_dist(W(*([1] * 23), 67_000_000))
+    assert routes == ["packed", "dict", "packed", "dict"]
+    assert d.counts == tuple(math.comb(23, m) for m in range(24)) * 2
+    assert d.sums[24:] == tuple(67_000_000 + s for s in range(-23, 24, 2))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -123,7 +132,7 @@ def test_routes_agree_property(vals):
 
 def test_packed_slots_hold_the_largest_counts():
     n = MAX_COORDINATES
-    assert oracle._slot_type(n)[0] > n
+    assert oracle._SLOT_BITS == 32 > n
     # one positive weight among zeros: two atoms of 2^(n-1) patterns each
     d = enumerate_dist(W(*([0] * (n - 1)), 1))
     assert d.sums == (-1, 1) and d.counts == (1 << (n - 1), 1 << (n - 1))
@@ -131,17 +140,16 @@ def test_packed_slots_hold_the_largest_counts():
     d = enumerate_dist(W(*([1] * n)))
     assert d.counts == tuple(math.comb(n, m) for m in range(n + 1))
     assert d.sums == tuple(range(-n, n + 1, 2))
-    # at every n, the narrowest slot still holds 2^(n-1)
-    for n in range(1, MAX_COORDINATES + 1):
-        d = _by_route(W(*([0] * (n - 1)), 3), packed=True)
-        assert d.counts == (1 << (n - 1), 1 << (n - 1)), n
 
 
 def test_slot_width_guard_rejects_too_many_coordinates():
-    widest = max(bits for bits, _ in oracle._SLOT_TYPES)
-    assert oracle._slot_type(widest - 1)[0] == widest
-    with pytest.raises(SizeLimitError):
-        oracle._slot_type(widest)
+    bits = oracle._SLOT_BITS
+    # the widest n the slot admits still holds its largest count, 2^(n-1)
+    assert oracle._packed_table([0] * (bits - 2) + [3]) \
+        == ((-3, 3), (1 << (bits - 2), 1 << (bits - 2)))
+    for n in (bits, bits + 1):
+        with pytest.raises(SizeLimitError):
+            oracle._packed_table([0] * (n - 1) + [3])
 
 
 def test_packed_route_is_validated(monkeypatch):
