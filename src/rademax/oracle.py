@@ -15,8 +15,8 @@ that is returned.
 z = 2^b as one Python int, with n shift-adds ``P += P << (b*w_i)``, and
 reads the W + 1 slots back in one ``array`` conversion.  A slot is one
 32-bit array item, and counts are at most 2^n, so no count carries into
-the next slot while n < 32 (``MAX_COORDINATES`` is 24; a guard rejects a
-n >= 32 instead).  A dense table costs W + 1 slots whatever the number of
+the next slot while n < 32 (``MAX_COORDINATES`` is 24; a guard rejects
+n >= 32).  A dense table costs W + 1 slots whatever the number of
 distinct sums, so the packed route is taken only when W + 1 <= 2^16, which
 covers integer weights up to 100 at n <= 24 (the benchmark's oracle inputs
 have W <= 1600).  A sparse lattice (weights 1 and 10^12, rationals with a
