@@ -25,7 +25,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from . import statbridge
 from .envelope import (
     TruncationPolicy,
     envelope_mid_tail,
@@ -35,15 +34,9 @@ from .envelope import (
 )
 from .errors import DomainError, EmptyFiberError, ParseError
 from .exactnum import Dyadic, Threshold, parse_ratio
-from .oracle import (
-    Lcg,
-    WeightVector,
-    enumerate_dist,
-    equalisation_probe,
-    normalized_mid_quantile,
-    normalized_mid_tail,
-    require_size,
-)
+
+# ``oracle`` and ``statbridge`` are imported inside the handlers that run
+# them, so that ``quantile`` and ``envelope`` never pay for their import.
 
 DECIMAL_DIGITS = 6
 
@@ -72,6 +65,7 @@ def _parse_alpha(text: str) -> Fraction:
 
 
 def _parse_weights(text: str) -> WeightVector:
+    from .oracle import WeightVector
     parts = [p for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise ParseError("empty weight list")
@@ -146,6 +140,7 @@ def _cmd_quantile(args) -> str:
 
 
 def _cmd_table(args) -> str:
+    from . import statbridge
     ns = [_parse_int(p) for p in args.ns.split(",") if p.strip() != ""]
     alphas = [_parse_alpha(p) for p in args.alphas.split(",") if p.strip() != ""]
     if not ns or not alphas:
@@ -166,6 +161,7 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_compare(args) -> str:
+    from . import statbridge
     grid = (_parse_threshold_list(args.t_grid) if args.t_grid is not None
             else list(statbridge.FIGURE_GRID))
     rows = statbridge.comparison_table(grid, _policy(args))
@@ -184,6 +180,7 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_oracle(args) -> str:
+    from .oracle import enumerate_dist, normalized_mid_quantile, normalized_mid_tail
     weights = _parse_weights(args.weights)
     dist = enumerate_dist(weights)
     inputs: dict = {"weights": [str(x) for x in weights.w]}
@@ -238,6 +235,7 @@ def _probe_json(report) -> dict:
 def _probe_any_scale(weights: WeightVector, x: Fraction):
     """Probe at x in the raw scale, else in unit-norm scale when that is
     rational (the verdict is invariant under positive rescaling of w)."""
+    from .oracle import WeightVector, equalisation_probe
     try:
         return equalisation_probe(weights, x)
     except EmptyFiberError:
@@ -253,6 +251,7 @@ def _probe_any_scale(weights: WeightVector, x: Fraction):
 
 
 def _cmd_lemma_check(args) -> str:
+    from .oracle import Lcg, WeightVector, enumerate_dist, equalisation_probe, require_size
     if args.weights is not None:
         if args.x is None:
             raise ParseError("--weights requires --x")
@@ -302,6 +301,7 @@ def _cmd_lemma_check(args) -> str:
 
 
 def _cmd_figure_data(args) -> str:
+    from . import statbridge
     points = statbridge.figure_data(args.which, _policy(args))
     lines = ["t,y"]
     for x, y in points:

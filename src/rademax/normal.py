@@ -1,27 +1,10 @@
-"""Standard normal upper tail via a locally implemented erfc.
+"""Standard normal upper tail in floats, and an exact integer bound on it.
 
-No platform special-function library is used.  The complementary error
-function is computed with the classical two-regime scheme:
-
-* ``0 <= x < 2``   Maclaurin series of erf,
-      erf(x) = (2/sqrt(pi)) * sum_{n>=0} (-1)^n x^(2n+1) / (n! (2n+1)),
-  summed until the term magnitude drops below 1e-18.  On this range the
-  largest term is about 2.4 (at x just below 2), so accumulated rounding
-  is bounded by a few units of 2.4 * 1e-16 and the truncation tail is
-  below 1e-18: absolute error < 5e-15.
-
-* ``x >= 2``       Legendre continued fraction evaluated with the
-  modified Lentz algorithm,
-      sqrt(pi) exp(x^2) erfc(x) = 1 / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-  iterated until the per-step factor is within 1e-17 of one (at most a
-  few hundred steps; ~40 at x = 2).  Truncation plus rounding stays
-  below 1e-15 relative, and erfc(2) < 5e-3, so absolute error < 1e-17.
-
-Negative arguments use erfc(-x) = 2 - erfc(x).  Overall absolute error
-is below 1e-13, comfortably inside the 1e-12 budget for the upper tail
-gaussian_upper_tail(t) = erfc(t / sqrt(2)) / 2; the test suite checks
-this against mpmath on a dense grid.  ``gaussian_upper_quantile`` inverts
-it by Newton's method.  These floats feed display columns and the search's
+``erfc`` is the standard library's ``math.erfc``; the floats below are
+built on it.  gaussian_upper_tail(t) = erfc(t / sqrt(2)) / 2 stays within
+1e-12 absolute of the true tail, which the test suite checks against
+mpmath on a dense grid, and ``gaussian_upper_quantile`` inverts it by
+Newton's method.  These floats feed display columns and the search's
 pre-screens only.
 
 ``upper_tail_ceiling`` is the exact counterpart that stopping decisions
@@ -32,11 +15,10 @@ rounding in integer fixed point (see its docstring).  No float enters it.
 from __future__ import annotations
 
 import math
+from math import erfc
 
 _SQRT_PI = 1.7724538509055160273
 _SQRT_2 = 1.4142135623730951
-_SERIES_CUTOFF = 2.0
-_TINY = 1e-300
 
 # floor(10^320 / sqrt(2*pi)): 1/sqrt(2*pi) rounded down at 320 decimals.
 _INV_SQRT_2PI_DIGITS = int(
@@ -46,57 +28,6 @@ _INV_SQRT_2PI_DIGITS = int(
     "2536427320836695934782717029991864190634560328089333886067046536"
     "5279671686934195477117721206532537536913347875056042405570488425")
 _INV_SQRT_2PI_SCALE = 10 ** 320
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, absolute error below 1e-13."""
-    if x != x:  # NaN propagates
-        return x
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x == 0.0:
-        return 1.0
-    if x < _SERIES_CUTOFF:
-        return 1.0 - _erf_series(x)
-    return _erfc_continued_fraction(x)
-
-
-def _erf_series(x: float) -> float:
-    x2 = x * x
-    total = 0.0
-    power = x  # x^(2n+1) / n!
-    n = 0
-    while True:
-        term = power / (2 * n + 1)
-        total += term if n % 2 == 0 else -term
-        if term < 1e-18:
-            break
-        n += 1
-        power *= x2 / n
-    return (2.0 / _SQRT_PI) * total
-
-
-def _erfc_continued_fraction(x: float) -> float:
-    # Lentz evaluation of f = x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))
-    f = x
-    c = x
-    d = 0.0
-    n = 1
-    while n < 1000:
-        a = n / 2.0
-        d = x + a * d
-        if d == 0.0:
-            d = _TINY
-        c = x + a / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-        n += 1
-    return math.exp(-x * x) / (_SQRT_PI * f)
 
 
 def gaussian_upper_tail(t: float) -> float:

@@ -18,6 +18,7 @@ ratios).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,17 +78,25 @@ def comparison_table(t_list: tuple[Threshold, ...] | list[Threshold],
         env = universal_envelope(t, policy)
         t_float = float(t)
         hoeff = hoeffding_bound(t_float)
-        exact_float = float(env.value)
         rows.append(ComparisonRow(
             t=t,
             k_star=min(env.argmax_k),
             exact_value=env.value,
             exact_decimal=env.value.to_decimal(6),
             hoeffding=hoeff,
-            ratio=exact_float / hoeff,
+            ratio=_ratio_to_hoeffding(env.value, t_float, hoeff),
             gaussian_tail=gaussian_upper_tail(t_float),
         ))
     return tuple(rows)
+
+
+def _ratio_to_hoeffding(value: Dyadic, t: float, hoeff: float) -> float:
+    """value / exp(-t^2/2).  Where the bound is 0.0 or subnormal (t above
+    about 37.6), the quotient is taken in logarithms, which underflow for
+    neither: ``math.log`` takes the dyadic's numerator at any size."""
+    if hoeff >= sys.float_info.min:
+        return float(value) / hoeff
+    return math.exp(math.log(value.num) - value.exp * math.log(2) + t * t / 2)
 
 
 def comparison_csv(rows: tuple[ComparisonRow, ...]) -> str:

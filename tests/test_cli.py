@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rademax import cli
+from rademax import cli, oracle
 from rademax.cli import main
 
 
@@ -211,7 +211,7 @@ def test_lemma_check_random_mode_fails_fast(capsys, monkeypatch, n, trials, mess
         def __init__(self, seed):
             raise AssertionError("weights were drawn before the input checks")
 
-    monkeypatch.setattr(cli, "Lcg", NoDraws)
+    monkeypatch.setattr(oracle, "Lcg", NoDraws)
     code, out, err = run(capsys, "lemma-check", "--n", str(n), "--trials", str(trials),
                          "--seed", "1")
     assert (code, out, err) == (3, "", f"error: {message}\n")
@@ -463,6 +463,182 @@ GOLDEN_LEMMA_RANDOM = """\
   "version": "0.1.0"
 }
 """
+
+
+GOLDEN_ENVELOPE_CSV = """\
+t,value_dyadic,value_decimal,argmax_k,k_searched,certificate
+sqrt(3),1/16,0.062500,3;4,4,zubkov_serov_closed
+
+"""
+
+GOLDEN_TABLE_JSON = """\
+{
+  "command": "table",
+  "inputs": {
+    "ns": [
+      5,
+      10
+    ],
+    "alphas": [
+      "1/20"
+    ]
+  },
+  "results": {
+    "rows": [
+      {
+        "n": 5,
+        "alpha": "1/20",
+        "s_crit": "2",
+        "t_crit": 4.0,
+        "value_at": {
+          "num": "1",
+          "exp": 5,
+          "dyadic": "1/32",
+          "decimal": "0.031250"
+        },
+        "left_limit": {
+          "num": "1",
+          "exp": 4,
+          "dyadic": "1/16",
+          "decimal": "0.062500"
+        }
+      },
+      {
+        "n": 10,
+        "alpha": "1/20",
+        "s_crit": "2",
+        "t_crit": 2.449489742783178,
+        "value_at": {
+          "num": "9",
+          "exp": 8,
+          "dyadic": "9/256",
+          "decimal": "0.035156"
+        },
+        "left_limit": {
+          "num": "1",
+          "exp": 4,
+          "dyadic": "1/16",
+          "decimal": "0.062500"
+        }
+      }
+    ]
+  },
+  "version": "0.1.0"
+}
+"""
+
+# The gaussian column is math.erfc's; the local erfc it replaced printed
+# 0.15865525393145713 and 0.012673659338734267 (mpmath: ...7051..., ...1319...).
+GOLDEN_COMPARE_JSON = """\
+{
+  "command": "compare",
+  "inputs": {
+    "t_grid": [
+      "1",
+      "sqrt(5)"
+    ],
+    "k_cap": 4096
+  },
+  "results": {
+    "rows": [
+      {
+        "t": "1",
+        "k_star": 1,
+        "exact": {
+          "num": "1",
+          "exp": 2,
+          "dyadic": "1/4",
+          "decimal": "0.250000"
+        },
+        "hoeffding": 0.6065306597126334,
+        "ratio": 0.41218031767503205,
+        "gaussian": 0.15865525393145707
+      },
+      {
+        "t": "sqrt(5)",
+        "k_star": 9,
+        "exact": {
+          "num": "5",
+          "exp": 8,
+          "dyadic": "5/256",
+          "decimal": "0.019531"
+        },
+        "hoeffding": 0.08208499862389876,
+        "ratio": 0.23793933516998983,
+        "gaussian": 0.012673659338734137
+      }
+    ]
+  },
+  "version": "0.1.0"
+}
+"""
+
+# At t = 40 the envelope is capped at k = 4096, and exp(-t^2/2) and the
+# normal tail underflow to 0.0; the ratio comes from logarithms.
+_T40_NUM = (
+    "35403184185366671935841819502668279653585935665579617501826221102621"
+    "50043580506470573272352219554476919598519459315771976499665181872197"
+    "76126231884166776120194731737831149757536593005383077401018782763604"
+    "45714716859474436116703594109310252108852246450627751813833170035634"
+    "25920357443347035870174180781957072717434250748750943551961007696352"
+    "48579225469710216433827380117175772534744743105334902443123892950448"
+    "12088637828282236602589210206981092055218120756048697289291759191680"
+    "62865301050238746432162339474674213303610530087148945006668717229237"
+    "80195928574588821123711411861147511701219612402463102009404422231971"
+    "65204246999251397974024450907991371744889564725954113658606514781028"
+    "77490748724069001287865284642342947662123616846323926559503378221648"
+    "32485839518138764914647673416501853939935411523596003307942645160703"
+    "65631783620811541922183730238194342950705"
+)
+_T40_DYADIC = f"{_T40_NUM}/{2 ** 4096}"
+
+GOLDEN_COMPARE_T40_CSV = f"""\
+t,k_star,exact,hoeffding,ratio,gaussian
+40,4096,{_T40_DYADIC}=0.000000,0.000000,0.000000,0.000000
+"""
+
+GOLDEN_COMPARE_T40_JSON = f"""\
+{{
+  "command": "compare",
+  "inputs": {{
+    "t_grid": [
+      "40"
+    ],
+    "k_cap": 4096
+  }},
+  "results": {{
+    "rows": [
+      {{
+        "t": "40",
+        "k_star": 4096,
+        "exact": {{
+          "num": "{_T40_NUM}",
+          "exp": 4096,
+          "dyadic": "{_T40_DYADIC}",
+          "decimal": "0.000000"
+        }},
+        "hoeffding": 0.0,
+        "ratio": 9.241992408441269e-30,
+        "gaussian": 0.0
+      }}
+    ]
+  }},
+  "version": "0.1.0"
+}}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("envelope", "--t", "sqrt(3)", "--n", "4", "--format", "csv"), GOLDEN_ENVELOPE_CSV),
+    (("table", "--ns", "5,10", "--alphas", "0.05", "--format", "json"), GOLDEN_TABLE_JSON),
+    (("compare", "--t-grid", "1,sqrt(5)", "--format", "json"), GOLDEN_COMPARE_JSON),
+    (("compare", "--t-grid", "40"), GOLDEN_COMPARE_T40_CSV),
+    (("compare", "--t-grid", "40", "--format", "json"), GOLDEN_COMPARE_T40_JSON),
+], ids=["envelope-csv", "table-json", "compare-json", "compare-t40-csv", "compare-t40-json"])
+def test_golden_format_branches(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -1,4 +1,4 @@
-"""Local erfc against mpmath and the reference normal-tail digits."""
+"""erfc and the normal tails against mpmath and the reference digits."""
 
 import math
 

@@ -109,6 +109,21 @@ def test_comparison_csv_shape():
     assert lines[1].startswith("2,8,9/256=0.035156,")
 
 
+@pytest.mark.parametrize("text, hoeff_is_zero", [("38", False), ("40", True)])
+def test_comparison_ratio_where_the_bound_underflows(text, hoeff_is_zero):
+    # exp(-t^2/2) is subnormal at t = 38 and 0.0 at t = 40; the ratio is
+    # still value / bound, checked in mpmath
+    import mpmath
+
+    (row,) = comparison_table((T(text),))
+    assert 0.0 <= row.hoeffding < 2.3e-308
+    assert (row.hoeffding == 0.0) is hoeff_is_zero
+    with mpmath.workdps(30):
+        value = mpmath.mpf(row.exact_value.num) / mpmath.mpf(2) ** row.exact_value.exp
+        exact = value * mpmath.exp(mpmath.mpf(float(row.t)) ** 2 / 2)
+    assert row.ratio == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_comparison_rejects_nonpositive_t():
     with pytest.raises(DomainError):
         comparison_table((Threshold.zero(),))
