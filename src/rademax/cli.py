@@ -42,10 +42,11 @@ DECIMAL_DIGITS = 6
 
 
 def _dyadic_json(d: Dyadic) -> dict:
+    dyadic = d.dyadic_str()  # first: it checks the digit limit for both integers
     return {
         "num": str(d.num),
         "exp": d.exp,
-        "dyadic": d.dyadic_str(),
+        "dyadic": dyadic,
         "decimal": d.to_decimal(DECIMAL_DIGITS),
     }
 
@@ -115,7 +116,7 @@ def _cmd_envelope(args) -> str:
         return ("t,value_dyadic,value_decimal,argmax_k,k_searched,certificate\n"
                 f"{t},{result.value.dyadic_str()},"
                 f"{result.value.to_decimal(DECIMAL_DIGITS)},{argmax},"
-                f"{result.k_searched},{result.certificate}\n")
+                f"{result.k_searched},{result.certificate}")
     return _emit("envelope", inputs, results)
 
 
@@ -277,7 +278,7 @@ def _cmd_lemma_check(args) -> str:
             values = tuple(rng.randint(1, 100) for _ in range(args.n))
             if len(set(values)) > 1:
                 break
-        weights = WeightVector(tuple(Fraction(v) for v in values))
+        weights = WeightVector(values)
         dist = enumerate_dist(weights)
         pos_sums = [s for s in dist.sums if s > 0]
         x = Fraction(pos_sums[rng.randint(0, len(pos_sums) - 1)], dist.denom)

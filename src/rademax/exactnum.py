@@ -28,10 +28,11 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 # Rationals are plain fractions.Fraction values: gcd-reduced, positive
 # denominator, canonical zero 0/1 -- exactly the Ratio contract.
@@ -73,6 +74,20 @@ def _square_root_exact(q: Fraction) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # Dyadic
 # ---------------------------------------------------------------------------
+
+def _require_str_digits(x: int) -> None:
+    """Raise ``DomainError`` when ``str(x)`` would exceed CPython's limit on
+    decimal digits for int-to-str conversion (``sys.get_int_max_str_digits``,
+    4300 by default; 0 or an interpreter without it means no limit).  The
+    limit is never lifted here: it is the interpreter's defence against
+    quadratic-time conversions.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # 2^(3 limit) < 10^limit, so shorter integers pass without a power of 10
+    if limit and abs(x).bit_length() > 3 * limit and abs(x) >= 10 ** limit:
+        raise DomainError(f"the result has more than {limit} decimal digits, the "
+                          "interpreter's int-to-str limit (sys.set_int_max_str_digits)")
+
 
 @dataclass(frozen=True)
 class Dyadic:
@@ -146,9 +161,16 @@ class Dyadic:
         return f"{ip}.{str(fp).zfill(digits)}"
 
     def dyadic_str(self) -> str:
+        """``num/2^exp`` in decimal, or ``num`` when exp is 0.
+
+        Raises ``DomainError`` before formatting when either integer has
+        more decimal digits than the interpreter converts to text.
+        """
+        den = 1 << self.exp
+        _require_str_digits(max(self.num, den))
         if self.exp == 0:
             return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
+        return f"{self.num}/{den}"
 
     def __float__(self) -> float:
         return dyadic_to_float(self.num, self.exp)

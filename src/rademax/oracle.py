@@ -36,10 +36,19 @@ w_i*e_j - w_j*e_i), and test whether the upper median of these slopes
 over the fiber at a positive atom is positive.  The slope depends only
 on (e_i, e_j), so each pair's slope multiset is four counts of the other
 n-2 coordinates, read from the count table by exact division by
-(z^{L w_i} + z^{-L w_i}) and (z^{L w_j} + z^{-L w_j}).
+(z^{L w_i} + z^{-L w_i}) and (z^{L w_j} + z^{-L w_j}).  On the packed
+route the first division, which leaves one coordinate out, is done on the
+packed product P itself: with X = 2^(32 b), the quotient Q = P / (1 + X)
+has W - b + 1 slots, so it is P * (1 - X + X^2 - ...) modulo 2^N for
+N = 32 (W - b + 1), a series built by doubling its length with one
+shift-add per step.  Sparse lattices divide their dict tables instead.
 
 ``fiber`` and ``dist_by_pattern_walk`` walk the 2^n patterns explicitly.
 They are the slow independent routes the test suite compares against.
+
+Weights are ``Fraction`` objects, built once per vector, and the oracle's
+arithmetic runs on their integer lattice: sign checks read numerators,
+and the norm in a normalised comparison is the integer ||L w||^2.
 
 Randomised searches use a self-contained 64-bit linear congruential
 generator (documented below), so reports are reproducible bit-for-bit
@@ -54,6 +63,7 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,13 +90,14 @@ class WeightVector:
     w: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.w) < 1:
+        w = tuple(map(Fraction, self.w))
+        if not w:
             raise DomainError("weight vector must have at least one entry")
-        if any(x < 0 for x in self.w):
+        if any(x.numerator < 0 for x in w):
             raise DomainError("weights must be >= 0")
-        if all(x == 0 for x in self.w):
+        if not any(x.numerator for x in w):
             raise DomainError("weight vector must have a positive entry")
-        object.__setattr__(self, "w", tuple(Fraction(x) for x in self.w))
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
@@ -94,7 +105,8 @@ class WeightVector:
 
     @property
     def norm_sq(self) -> Fraction:
-        return sum((x * x for x in self.w), Fraction(0))
+        iw, denom = _scaled_weights(self)
+        return Fraction(_square_sum(iw), denom * denom)
 
 
 @dataclass(frozen=True)
@@ -261,6 +273,11 @@ def _scaled_weights(w: WeightVector) -> tuple[list[int], int]:
     return [x.numerator * (denom // x.denominator) for x in w.w], denom
 
 
+def _square_sum(iw: list[int]) -> int:
+    """||L w||^2 for the integer weights L w."""
+    return sum(map(operator.mul, iw, iw))
+
+
 def _scaled_counts(iw: list[int]) -> dict[int, int]:
     """Counts of patterns per integer sum, by exact convolution."""
     counts = {0: 1}
@@ -278,21 +295,34 @@ def _sorted_table(counts: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(sums), tuple(counts[s] for s in sums)
 
 
-def _packed_table(iw: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sums, counts) of the dense route: prod(1 + z^{w_i}) at z = 2^32.
+def _is_dense(total: int) -> bool:
+    """Whether a table of total + 1 slots takes the packed route."""
+    return total < _PACKED_SLOTS
 
-    Slot s of the packed integer counts the patterns with sum 2s - W.
-    """
+
+def _packed_product(iw: list[int]) -> int:
+    """prod(1 + z^{w_i}) at z = 2^32: slot s counts the patterns with sum 2s - W."""
     if len(iw) >= _SLOT_BITS:  # a count of 2^n needs n + 1 bits
         raise SizeLimitError(f"n={len(iw)} coordinates overflow a "
                              f"{_SLOT_BITS}-bit packed slot")
-    total = sum(iw)
     packed = 1
     for wi in iw:
         packed += packed << (_SLOT_BITS * wi)
-    slots = array(_SLOT_CODE, packed.to_bytes(_SLOT_BITS // 8 * (total + 1), "little"))
+    return packed
+
+
+def _unpack(packed: int, size: int) -> array:
+    """The first ``size`` slots of a packed table, one array item each."""
+    slots = array(_SLOT_CODE, packed.to_bytes(_SLOT_BITS // 8 * size, "little"))
     if sys.byteorder == "big":
         slots.byteswap()
+    return slots
+
+
+def _packed_table(iw: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sums, counts) of the dense route, unpacked from ``_packed_product``."""
+    total = sum(iw)
+    slots = _unpack(_packed_product(iw), total + 1)
     return (tuple(itertools.compress(range(-total, total + 1, 2), slots)),
             tuple(filter(None, slots)))
 
@@ -305,7 +335,7 @@ def enumerate_dist(w: WeightVector) -> ExactDist:
     """
     require_size(w.n)
     iw, denom = _scaled_weights(w)
-    if sum(iw) < _PACKED_SLOTS:
+    if _is_dense(sum(iw)):
         table = _packed_table(iw)
     else:
         table = _sorted_table(_scaled_counts(iw))
@@ -316,10 +346,7 @@ def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
     """Same law via the explicit 2^n pattern walk (slow, independent route)."""
     require_size(w.n)
     iw, denom = _scaled_weights(w)
-    counts: dict[int, int] = {}
-    for eps in itertools.product(_SIGN_CHOICES, repeat=w.n):
-        s = sum(e * wi for e, wi in zip(eps, iw))
-        counts[s] = counts.get(s, 0) + 1
+    counts = Counter(map(sum, itertools.product(*((wi, -wi) for wi in iw))))
     return ExactDist(w.n, *_sorted_table(counts), denom)
 
 
@@ -327,15 +354,14 @@ def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
 # Normalised tail functionals
 # ---------------------------------------------------------------------------
 
-def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: Fraction) -> int:
+def _cmp_scaled_atom(s: int, t: Threshold, w2_scaled: int) -> int:
     """Sign of s/sqrt(w2_scaled) - t, all integer arithmetic."""
     ssign = (s > 0) - (s < 0)
     if ssign != t.sign:
         return 1 if ssign > t.sign else -1
     if ssign == 0:
         return 0
-    p, q = t.sq.numerator, t.sq.denominator
-    square_cmp = s * s * q * w2_scaled.denominator - p * w2_scaled.numerator
+    square_cmp = s * s * t.sq.denominator - t.sq.numerator * w2_scaled
     square_sign = (square_cmp > 0) - (square_cmp < 0)
     return square_sign if ssign > 0 else -square_sign
 
@@ -345,12 +371,13 @@ def normalized_mid_tail(w: WeightVector, t: Threshold,
     """Mid-tail of the sum normalised by ||w||: P(S > t||w||) + P(S = t||w||)/2.
 
     ``dist`` may carry a precomputed ``enumerate_dist(w)`` to amortise
-    repeated thresholds against one weight vector.
+    repeated thresholds against one weight vector.  Its sums are atoms
+    times L, so they are compared against t * ||L w||.
     """
     require_size(w.n)
     if dist is None:
         dist = enumerate_dist(w)
-    w2_scaled = w.norm_sq * dist.denom * dist.denom
+    w2_scaled = _square_sum(_scaled_weights(w)[0])
 
     def side(s: int) -> int:
         return _cmp_scaled_atom(s, t, w2_scaled)
@@ -383,8 +410,8 @@ def normalized_mid_quantile(w: WeightVector, alpha: Fraction,
         if cum * scale >= target:
             if s == 0:
                 return Threshold.zero()
-            v = Fraction(s, dist.denom)
-            return Threshold.from_square((s > 0) - (s < 0), v * v / w.norm_sq)
+            w2_scaled = _square_sum(_scaled_weights(w)[0])
+            return Threshold.from_square((s > 0) - (s < 0), Fraction(s * s, w2_scaled))
     raise AssertionError("normalized_mid_quantile failed to terminate")
 
 
@@ -428,13 +455,57 @@ def _divide_out(desc: list[tuple[int, int]], a: int) -> dict[int, int]:
     return q
 
 
-def _quotient_at(table: dict[int, int], top: int, a: int, y: int) -> int:
+def _packed_quotient(packed: int, total: int, b: int) -> int:
+    """Exact quotient of a packed table with sums up to ``total`` by
+    (1 + z^b), 0 < b <= total, as a packed table of total - b + 1 slots.
+
+    With X = 2^(32 b), P (1 - X + X^2 - ... -/+ X^(M-1)) = Q (1 -/+ X^M),
+    so P times that series is Q modulo 2^N, N = 32 (total - b + 1), once
+    X^M >= 2^N, because Q < 2^N.  The series doubles its length M with
+    each shift-add: g (1 + X^M) is the series of length 2M.
+    """
+    bits = _SLOT_BITS * (total - b + 1)
+    mask = (1 << bits) - 1
+    shift = _SLOT_BITS * b
+    g = (packed - (packed << shift)) & mask  # M = 2
+    span = 2 * shift  # 32 b M
+    while span < bits:
+        g = (g + (g << span)) & mask
+        span *= 2
+    return g
+
+
+class _SlotView:
+    """A dense count table read like a dict: ``get(sum, 0)``.
+
+    Slot m holds the patterns with sum 2m - top, so a sum of the other
+    parity, or beyond +-top, has no patterns.
+    """
+
+    __slots__ = ("slots", "top")
+
+    def __init__(self, slots: array, top: int):
+        self.slots = slots
+        self.top = top
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def get(self, s: int, default: int = 0) -> int:
+        m = s + self.top
+        if m & 1 or not 0 <= m <= 2 * self.top:
+            return default
+        return self.slots[m >> 1]
+
+
+def _quotient_at(table: dict[int, int] | _SlotView, top: int, a: int, y: int) -> int:
     """Count at y of the quotient of a symmetric count table by (z^a + z^-a).
 
     ``top`` bounds the table's sums.  The quotient is symmetric too, and
     from the top down it reads q[|y|] = table[|y|+a] - table[|y|+3a] + ...
     That chain steps over lattice points, not table entries, so when it is
-    longer than the table the whole quotient is divided out instead.
+    longer than the table the whole quotient is divided out instead.  A
+    dense table has a slot per lattice point, so that happens only to dicts.
     """
     y = abs(y)
     if (top - y) // (2 * a) >= len(table):
@@ -443,7 +514,7 @@ def _quotient_at(table: dict[int, int], top: int, a: int, y: int) -> int:
                for s in range(y + a, top + 1, 4 * a))
 
 
-def _sign_counts(rest: dict[int, int], top: int, x: int,
+def _sign_counts(rest: dict[int, int] | _SlotView, top: int, x: int,
                  big: int, small: int) -> dict[tuple[int, int], int]:
     """Fiber patterns at x per sign pair (e_i, e_j), for lattice weights
     w_i = big > w_j = small.
@@ -521,33 +592,41 @@ def equalisation_probe(w: WeightVector, x: Fraction,
     depends only on its signs (e_i, e_j), so a pair's slope multiset is
     four counts of the other n-2 coordinates: the full table divided by
     (z^{L w_j} + z^{-L w_j}) (one table per distinct weight) and then by
-    (z^{L w_i} + z^{-L w_i}) at the points needed.  The fiber size is the
-    full count at L*x.  ``dist`` may carry a precomputed
+    (z^{L w_i} + z^{-L w_i}) at the points needed.  On the packed route
+    the first division is ``_packed_quotient``, read through a
+    ``_SlotView``; sparse lattices take ``_divide_out``.  The fiber size
+    is the full count at L*x.  ``dist`` may carry a precomputed
     ``enumerate_dist(w)``, whose integer sums are that full table.
     """
     require_size(w.n)
     x = Fraction(x)
     if x <= 0:
         raise DomainError("the probe requires a positive atom")
-    positive = [(idx, val) for idx, val in enumerate(w.w) if val > 0]
-    if len({val for _, val in positive}) <= 1:
+    iw, denom = _scaled_weights(w)
+    if len({b for b in iw if b > 0}) <= 1:
         return ProbeReport(applicable=False, x=x,
                            reason="all nonzero coordinates are equal")
-    iw, denom = _scaled_weights(w)
     if dist is None:
         dist = enumerate_dist(w)
-    full = dict(zip(dist.sums, dist.counts))
     target = x * denom
-    fiber_size = full.get(target.numerator, 0) if target.denominator == 1 else 0
-    if not fiber_size:
-        raise EmptyFiberError(f"{x} is not an atom of the distribution")
     X = target.numerator
+    at = bisect_left(dist.sums, X)
+    if target.denominator != 1 or at == len(dist.sums) or dist.sums[at] != X:
+        raise EmptyFiberError(f"{x} is not an atom of the distribution")
+    fiber_size = dist.counts[at]
     total = sum(iw)
-    desc = list(zip(reversed(dist.sums), reversed(dist.counts)))
     largest = max(iw)
     # leave-one-out tables: every positive weight below the largest is some
     # pair's smaller weight
-    without = {b: _divide_out(desc, b) for b in set(iw) if 0 < b < largest}
+    smaller = {b for b in iw if 0 < b < largest}
+    if _is_dense(total):
+        packed = _packed_product(iw)
+        without = {b: _SlotView(_unpack(_packed_quotient(packed, total, b), total - b + 1),
+                                total - b)
+                   for b in smaller}
+    else:
+        desc = list(zip(reversed(dist.sums), reversed(dist.counts)))
+        without = {b: _divide_out(desc, b) for b in smaller}
     probes = []
     for a in range(w.n):
         for b in range(a + 1, w.n):
@@ -600,7 +679,7 @@ def random_maximizer_search(n: int, t: Threshold, trials: int, seed: int) -> Sea
     violations = []
     for _ in range(trials):
         weights = tuple(rng.randint(1, 100) for _ in range(n))
-        wv = WeightVector(tuple(Fraction(x) for x in weights))
+        wv = WeightVector(weights)
         value = normalized_mid_tail(wv, t)
         if best is None or value > best:
             best, best_weights = value, weights

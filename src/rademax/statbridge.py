@@ -91,11 +91,13 @@ def comparison_table(t_list: tuple[Threshold, ...] | list[Threshold],
 
 
 def _ratio_to_hoeffding(value: Dyadic, t: float, hoeff: float) -> float:
-    """value / exp(-t^2/2).  Where the bound is 0.0 or subnormal (t above
-    about 37.6), the quotient is taken in logarithms, which underflow for
-    neither: ``math.log`` takes the dyadic's numerator at any size."""
-    if hoeff >= sys.float_info.min:
-        return float(value) / hoeff
+    """value / exp(-t^2/2).  Where either float is 0.0 or subnormal (the
+    value for t above about 36.5, the bound above about 37.6), the quotient
+    is taken in logarithms, which underflow for neither: ``math.log`` takes
+    the dyadic's numerator at any size."""
+    value_float = float(value)
+    if min(value_float, hoeff) >= sys.float_info.min:
+        return value_float / hoeff
     return math.exp(math.log(value.num) - value.exp * math.log(2) + t * t / 2)
 
 

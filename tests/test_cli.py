@@ -59,6 +59,19 @@ def test_envelope_negative_t_is_domain_error(capsys):
     assert "error" in err
 
 
+def test_envelope_past_the_digit_limit_is_domain_error(capsys):
+    # the value at t = 100, n = 20000 is num/2^19985, whose denominator has
+    # 6,017 digits: more than the interpreter converts to text by default
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit or limit >= 6017:
+        pytest.skip("needs an int-to-str digit limit below 6,017 digits")
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "envelope", "--t", "100", "--n", "20000", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"error: the result has more than {limit} decimal digits, the "
+                       "interpreter's int-to-str limit (sys.set_int_max_str_digits)\n")
+
+
 def test_envelope_bad_grammar_is_parse_error(capsys):
     code, _, _ = run(capsys, "envelope", "--t", "sqrt(x)", "--universal")
     assert code == 2
@@ -468,7 +481,6 @@ GOLDEN_LEMMA_RANDOM = """\
 GOLDEN_ENVELOPE_CSV = """\
 t,value_dyadic,value_decimal,argmax_k,k_searched,certificate
 sqrt(3),1/16,0.062500,3;4,4,zubkov_serov_closed
-
 """
 
 GOLDEN_TABLE_JSON = """\
@@ -627,6 +639,86 @@ GOLDEN_COMPARE_T40_JSON = f"""\
 }}
 """
 
+# At t = 37 the envelope value's float is subnormal, and at t = 37.5 it is
+# 0.0, while the bound is still a normal float; the ratio comes from
+# logarithms, not from the value's float.
+_T37_NUM = (
+    "3776244436526740074112048782385995380239008076793301917404140719458026"
+    "0663200057295944589434747211679145528382498823386969906178183436866927"
+    "6484436296787061132446311085583900643308353325024991139240154376890647"
+    "7482787130158317296857415749290839167790950676502059435469577177362780"
+    "3566091814787047485430010263839195391902422151294986204281214310571174"
+    "1941647830700586198302532602255643942446324029705201534592395414521257"
+    "6091487732707940959858545141146925896733498893187168595256951599323618"
+    "0290681063917301987471804969563329028916783886709517819644444412631783"
+    "4660341886677633201438191697417649263128731432062199472979481941749164"
+    "8361745304563636474970260147658666416042994631768403380131033710461405"
+    "6090850530196143166544904574230933076146298439065262465368843120883191"
+    "7764165201136821158267276930175516772271884317424938065568352013425526"
+    "2524763975601827809058950046445294561873783324008557530026551943705721"
+)
+_T37_5_NUM = (
+    "4043900418771041983777144359511517847736377796519671220722785820936368"
+    "0234927693020329620708295591228537634278231665871586439011832136252476"
+    "6841889833922174810366156227220989266385009102749962479184233988964452"
+    "3366926172894180047058510692326570044156327557218166710311689729250079"
+    "5270590001903203581606083644089907412953954970171663084063808773816182"
+    "9363576762776937279194549955717220097430447399846621406293003090779519"
+    "7140690461593213542055536093998718457977063776362179396330956715331810"
+    "4693101396881156779338297313762784556249667338020802117157030376685972"
+    "2647457855040453630991433059116145279578496668788016268718848743373600"
+    "4742907776541684989677787285168549816545832996052717792851671841250231"
+    "0161823706574814134883165598267961160817010387084283618874273075134412"
+    "8393310379010839338833511056892230199803504485104521337958486856571000"
+    "4935732823222619853696346811131658727877214275599059740472337"
+)
+_T37_DYADIC = f"{_T37_NUM}/{2 ** 4079}"
+_T37_5_DYADIC = f"{_T37_5_NUM}/{2 ** 4080}"
+
+GOLDEN_COMPARE_T37_JSON = f"""\
+{{
+  "command": "compare",
+  "inputs": {{
+    "t_grid": [
+      "37",
+      "75/2"
+    ],
+    "k_cap": 4096
+  }},
+  "results": {{
+    "rows": [
+      {{
+        "t": "37",
+        "k_star": 4082,
+        "exact": {{
+          "num": "{_T37_NUM}",
+          "exp": 4079,
+          "dyadic": "{_T37_DYADIC}",
+          "decimal": "0.000000"
+        }},
+        "hoeffding": 5.314068364454539e-298,
+        "ratio": 8.918270644648502e-22,
+        "gaussian": 5.725571222525139e-300
+      }},
+      {{
+        "t": "75/2",
+        "k_star": 4082,
+        "exact": {{
+          "num": "{_T37_5_NUM}",
+          "exp": 4080,
+          "dyadic": "{_T37_5_DYADIC}",
+          "decimal": "0.000000"
+        }},
+        "hoeffding": 4.332039538514401e-306,
+        "ratio": 5.857681198382695e-23,
+        "gaussian": 4.605353009582584e-308
+      }}
+    ]
+  }},
+  "version": "0.1.0"
+}}
+"""
+
 
 @pytest.mark.parametrize("argv, expected", [
     (("envelope", "--t", "sqrt(3)", "--n", "4", "--format", "csv"), GOLDEN_ENVELOPE_CSV),
@@ -634,7 +726,9 @@ GOLDEN_COMPARE_T40_JSON = f"""\
     (("compare", "--t-grid", "1,sqrt(5)", "--format", "json"), GOLDEN_COMPARE_JSON),
     (("compare", "--t-grid", "40"), GOLDEN_COMPARE_T40_CSV),
     (("compare", "--t-grid", "40", "--format", "json"), GOLDEN_COMPARE_T40_JSON),
-], ids=["envelope-csv", "table-json", "compare-json", "compare-t40-csv", "compare-t40-json"])
+    (("compare", "--t-grid", "37,37.5", "--format", "json"), GOLDEN_COMPARE_T37_JSON),
+], ids=["envelope-csv", "table-json", "compare-json", "compare-t40-csv", "compare-t40-json",
+        "compare-t37-json"])
 def test_golden_format_branches(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 0, err

@@ -1,11 +1,12 @@
 """Exact number kernel: comparisons, dyadics, threshold grammar."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from rademax.errors import ParseError
+from rademax.errors import DomainError, ParseError
 from rademax.exactnum import (
     Dyadic,
     LatticeValue,
@@ -143,6 +144,20 @@ def test_dyadic_to_decimal_round_half_even():
     assert Dyadic(1, 0).to_decimal(3) == "1.000"
     with pytest.raises(ValueError):
         Dyadic(1, 1).to_decimal(0)
+
+
+def test_dyadic_str_stops_at_the_digit_limit():
+    # the last integers the interpreter converts to text format; one more
+    # digit is a DomainError (exit 3 in the CLI), not a bare ValueError
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    exp = (10 ** limit).bit_length() - 1  # 2^exp < 10^limit < 2^(exp+1)
+    assert len(Dyadic(1, exp).dyadic_str()) == len("1/") + limit
+    assert len(Dyadic(10 ** limit - 1, 0).dyadic_str()) == limit
+    for too_long in (Dyadic(1, exp + 1), Dyadic(10 ** limit, 0), Dyadic(10 ** limit + 1, 1)):
+        with pytest.raises(DomainError, match=f"more than {limit} decimal digits"):
+            too_long.dyadic_str()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Brute-force oracle: enumeration, fibers, probe, random search."""
 
+import contextlib
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -75,14 +77,31 @@ def test_enumerate_guards():
         W(-1, 2)
 
 
+def test_weight_vector_errors_and_inputs():
+    for bad, message in [((), "at least one entry"), ((1, -2), "must be >= 0"),
+                         ((Fraction(-1, 3), 2), "must be >= 0"), ((0, Fraction(0)), "positive entry")]:
+        with pytest.raises(DomainError, match=message):
+            WeightVector(bad)
+    # ints, Fractions and a mix build equal vectors of Fractions
+    as_int = WeightVector((3, 0, 4))
+    assert as_int == WeightVector((Fraction(3), Fraction(0), Fraction(4))) \
+        == WeightVector((3, Fraction(0), Fraction(8, 2)))
+    assert all(type(x) is Fraction for x in as_int.w)
+    assert as_int.w == (3, 0, 4) and as_int.norm_sq == 25
+    assert WeightVector((1, Fraction(1, 2))).norm_sq == Fraction(5, 4)
+
+
+@contextlib.contextmanager
+def _route(dense: bool):
+    """Force every count table onto the packed (dense) or dict route."""
+    with mock.patch.object(oracle, "_is_dense", lambda total: dense):
+        yield
+
+
 def _by_route(w: WeightVector, packed: bool) -> ExactDist:
     """The law of w with the count table forced onto one route."""
-    iw, denom = oracle._scaled_weights(w)
-    if packed:
-        table = oracle._packed_table(iw)
-    else:
-        table = oracle._sorted_table(oracle._scaled_counts(iw))
-    return ExactDist(w.n, *table, denom)
+    with _route(packed):
+        return enumerate_dist(w)
 
 
 def test_both_routes_match_pattern_walk():
@@ -164,6 +183,50 @@ def test_packed_route_is_validated(monkeypatch):
     monkeypatch.setattr(oracle, "_packed_table", carried)
     with pytest.raises(ValueError, match="sum to 2"):
         enumerate_dist(W(1, 2, 3))
+
+
+def _quotient_cases():
+    """Integer weight lists with zero and repeated weights, n up to 24
+    (23 zeros beside a 4 leave a quotient of one slot holding 2^23)."""
+    rng = random.Random(1618)
+    cases = [[1, 1], [1, 1, 1, 1], [2, 7], [3, 3, 3, 10], [0, 5, 0, 5],
+             [0] * 23 + [4], [1] * 24, [0] * 20 + [1, 2, 3, 9]]
+    for _ in range(60):
+        n = rng.randrange(1, 10)
+        cases.append([rng.choice((0, 1, 2, 3, rng.randrange(1, 40))) for _ in range(n)])
+    return cases
+
+
+def test_packed_quotient_matches_division():
+    # the doubled series against the big-int quotient and the dict chain,
+    # for every distinct positive weight; the cases include exact covers,
+    # where the last doubling step reaches 2^N exactly (b M = W - b + 1)
+    exact_covers = 0
+    for iw in _quotient_cases():
+        total = sum(iw)
+        packed = oracle._packed_product(iw)
+        desc = list(zip(*map(reversed, oracle._packed_table(iw))))
+        for b in {b for b in iw if b > 0}:
+            q = oracle._packed_quotient(packed, total, b)
+            assert q == packed // (1 + (1 << (oracle._SLOT_BITS * b))), (iw, b)
+            top = total - b
+            view = oracle._SlotView(oracle._unpack(q, top + 1), top)
+            chain = oracle._divide_out(desc, b)
+            assert all(view.get(s) == chain.get(s, 0) for s in range(-top - 3, top + 4)), (iw, b)
+            m = 2
+            while b * m < top + 1:
+                m *= 2
+            exact_covers += b * m == top + 1
+    assert exact_covers >= 10
+
+
+def test_slot_view_reads_like_a_dict():
+    # slot m holds sum 2m - top: the other parity and |s| > top read 0
+    top = 5
+    view = oracle._SlotView(oracle.array(oracle._SLOT_CODE, [1, 2, 3, 4, 5, 6]), top)
+    table = {-5: 1, -3: 2, -1: 3, 1: 4, 3: 5, 5: 6}
+    assert len(view) == 6
+    assert [view.get(s) for s in range(-9, 10)] == [table.get(s, 0) for s in range(-9, 10)]
 
 
 def test_exact_dist_validates_the_integer_law():
@@ -414,7 +477,22 @@ def _assert_probe_matches_fiber_walk(w: WeightVector) -> None:
             assert equalisation_probe(w, x, d) == fast  # the CLI passes its law in
 
 
-def test_probe_matches_fiber_walk():
+def test_probe_route_rule_follows_the_table_size(monkeypatch):
+    routes = []
+    packed, divided = oracle._packed_quotient, oracle._divide_out
+    monkeypatch.setattr(oracle, "_packed_quotient",
+                        lambda *args: routes.append("packed") or packed(*args))
+    monkeypatch.setattr(oracle, "_divide_out",
+                        lambda *args: routes.append("dict") or divided(*args))
+    limit = oracle._PACKED_SLOTS
+    for big in (limit - 2, limit - 1):  # W + 1 = 2^16 slots, then one more
+        w = W(1, big)
+        assert equalisation_probe(w, Fraction(big + 1)) == _slow_probe(w, Fraction(big + 1))
+    assert routes == ["packed", "dict"]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["packed", "dict"])
+def test_probe_matches_fiber_walk(dense):
     # zero weights, repeated weights, rational weights on a common
     # denominator > 1, and n up to 10; small weights beside large ones make
     # the alternating chain longer than its table (the full-division branch)
@@ -427,8 +505,9 @@ def test_probe_matches_fiber_walk():
             vals = [Fraction(rng.randrange(0, top), denom) for _ in range(n)]
             if any(vals):
                 vectors.append(W(*vals))
-    for w in vectors:
-        _assert_probe_matches_fiber_walk(w)
+    with _route(dense):
+        for w in vectors:
+            _assert_probe_matches_fiber_walk(w)
 
 
 def test_probe_work_is_bounded_by_the_table():
@@ -438,11 +517,13 @@ def test_probe_work_is_bounded_by_the_table():
     assert equalisation_probe(w, Fraction(4)) == _slow_probe(w, Fraction(4))
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["packed", "dict"])
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=4),
                 min_size=2, max_size=6).filter(any))
-def test_probe_matches_fiber_walk_property(vals):
-    _assert_probe_matches_fiber_walk(W(*vals))
+def test_probe_matches_fiber_walk_property(dense, vals):
+    with _route(dense):
+        _assert_probe_matches_fiber_walk(W(*vals))
 
 
 def test_probe_errors():

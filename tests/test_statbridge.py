@@ -113,11 +113,26 @@ def test_comparison_csv_shape():
 def test_comparison_ratio_where_the_bound_underflows(text, hoeff_is_zero):
     # exp(-t^2/2) is subnormal at t = 38 and 0.0 at t = 40; the ratio is
     # still value / bound, checked in mpmath
-    import mpmath
-
     (row,) = comparison_table((T(text),))
     assert 0.0 <= row.hoeffding < 2.3e-308
     assert (row.hoeffding == 0.0) is hoeff_is_zero
+    _assert_ratio_matches_mpmath(row)
+
+
+@pytest.mark.parametrize("text, value_is_zero", [("37", False), ("75/2", True)])
+def test_comparison_ratio_where_the_value_underflows(text, value_is_zero):
+    # the bound is a normal float at t = 37 and 37.5, but the envelope
+    # value's float is subnormal at 37 and 0.0 at 37.5
+    (row,) = comparison_table((T(text),))
+    assert row.hoeffding >= 2.3e-308
+    value = float(row.exact_value)
+    assert 0.0 <= value < 2.3e-308 and (value == 0.0) is value_is_zero
+    _assert_ratio_matches_mpmath(row)
+
+
+def _assert_ratio_matches_mpmath(row) -> None:
+    import mpmath
+
     with mpmath.workdps(30):
         value = mpmath.mpf(row.exact_value.num) / mpmath.mpf(2) ** row.exact_value.exp
         exact = value * mpmath.exp(mpmath.mpf(float(row.t)) ** 2 / 2)
