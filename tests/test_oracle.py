@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -223,7 +224,7 @@ def test_packed_quotient_matches_division():
 def test_slot_view_reads_like_a_dict():
     # slot m holds sum 2m - top: the other parity and |s| > top read 0
     top = 5
-    view = oracle._SlotView(oracle.array(oracle._SLOT_CODE, [1, 2, 3, 4, 5, 6]), top)
+    view = oracle._SlotView(array(oracle._SLOT_CODE, [1, 2, 3, 4, 5, 6]), top)
     table = {-5: 1, -3: 2, -1: 3, 1: 4, 3: 5, 5: 6}
     assert len(view) == 6
     assert [view.get(s) for s in range(-9, 10)] == [table.get(s, 0) for s in range(-9, 10)]
