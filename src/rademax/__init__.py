@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError", "EmptyFiberError", "ParseError", "SizeLimitError"),
     "exactnum": ("Dyadic", "LatticeValue", "Ordering", "Ratio", "Threshold",
-                 "cmp_lattice_lattice", "cmp_lattice_threshold",
-                 "cmp_threshold_threshold", "parse_ratio"),
+                 "cmp_lattice_lattice", "cmp_lattice_threshold", "parse_ratio"),
     "binomdist": ("AtomTable", "mid_quantile", "mid_tail", "pmf", "strict_tail",
                   "weak_tail"),
     "envelope": ("ZUBKOV_SEROV_CLOSED", "HARD_CAP_HIT", "EnvelopeResult",

@@ -129,11 +129,13 @@ def mid_tail(k: int, t: Threshold) -> Dyadic:
 def mid_quantile(k: int, alpha: Fraction) -> Threshold:
     """Largest threshold whose mid-tail stays >= alpha (supremum convention).
 
-    The qualifying set {t : mid_tail(k, t) >= alpha} is a left ray; its
-    supremum is always an atom of S_k, namely the largest atom a with
-    P(S_k >= a) >= alpha.  The mid-tail AT the returned point may be
-    below alpha; the guarantee is mid_tail > = alpha strictly left of it
-    and < alpha strictly right of it.
+    That is sup{t : mid_tail(k, t) >= alpha}, the convention of
+    ``oracle.normalized_mid_quantile`` too; the envelope quantiles of
+    ``envelope`` take inf{t : envelope(t) <= alpha} instead.  The
+    qualifying set is a left ray; its supremum is always an atom of S_k,
+    namely the largest atom a with P(S_k >= a) >= alpha.  The mid-tail AT
+    the returned point may be below alpha; the guarantee is mid_tail >=
+    alpha strictly left of it and < alpha strictly right of it.
     """
     _require_k(k)
     if not 0 < alpha < 1:

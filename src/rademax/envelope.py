@@ -40,15 +40,19 @@ comparison, never by floating floor).  The direct per-k sums in
 ``binomdist`` provide an independent route; the test suite cross-checks
 the two.
 
-Quantiles come out of the same scan.  Each mid_tail(k, .) is a
-nonincreasing step function, so it drops to alpha at one atom, the
+A quantile t* = inf{t : envelope(t) <= alpha} takes two scans on the same
+engine: a crossing scan, then one tail scan at t*.  Each mid_tail(k, .)
+is a nonincreasing step function, so it drops to alpha at one atom, the
 crossing atom c_k = (k - 2j*)/sqrt(k), where j* is the first index from
 the top whose weak tail exceeds alpha (j* is nondecreasing in k too).
 The envelope is the maximum over k, so its level-alpha quantile is
 max_k c_k, attained exactly when every k tying at the maximum has
-mid-tail <= alpha there.  The scan stops once the tail bound at the
-running maximum drops to alpha: every later k then has weak tail <= alpha
-there, so its crossing atom lies strictly below.
+mid-tail <= alpha there.  The crossing scan stops once the tail bound at
+the running maximum drops to alpha: every later k then has weak tail
+<= alpha there, so its crossing atom lies strictly below.  The tail scan
+at t* tracks the largest mid tail (value_at) and the largest weak tail
+with its smallest witness k (left_limit, witness_k_left) in one pass,
+and closes on the tail bound like an envelope search.
 
 Everything is deterministic and exact: results are bit-identical no
 matter how the k-range might be partitioned across workers.
@@ -231,47 +235,45 @@ def _closing_k(x: float, quantile: float) -> float:
     return 4.0 / (x - quantile) ** 2 if x > quantile else math.inf
 
 
-def _max_scan(
-    t: Threshold,
-    k_from: int,
-    k_to: int,
-    numerator: Callable[[int, int, int], tuple[int, int]],
-) -> tuple[Dyadic, tuple[int, ...], int, bool]:
-    """Maximize numerator(k, strict, atom)/2^exp over k = k_from..k_to.
+def _max_scan(t: Threshold, k_from: int,
+              k_to: int) -> tuple[Dyadic, tuple[int, ...], Dyadic, int, int, bool]:
+    """Largest mid and weak tails at t over k = k_from..k_to, in one scan.
 
-    The numerator is a weak or mid tail, so the scan closes once the tail
-    ceiling for every K > k falls strictly below the running best: no
-    later k can tie or win.  Returns (value, argmax ties, last k, closed).
+    The scan closes once the tail ceiling for every K > k falls strictly
+    below the running mid best.  That settles both maxima: every k has
+    weak tail >= mid tail, so the weak best is at least the mid best, and
+    the ceiling bounds both tails of every later K, so no later k can tie
+    or win either.  Returns (mid value, its argmax ties, weak value, the
+    smallest k attaining it, last k, closed).
     """
     p, q = t.sq.numerator, t.sq.denominator
     t_float = float(t)
     best_num, best_exp = -1, 0
     argmax: list[int] = []
+    weak_num, weak_exp, witness = -1, 0, k_from
     k_try = math.inf
-    k_last = k_from - 1
+    closed = False
     for k, strict, atom_c in _tail_scan(t, k_from, k_to):
-        num, exp = numerator(k, strict, atom_c)
-        c = 1 if best_num < 0 else _cmp_raw(num, exp, best_num, best_exp)
+        num = 2 * strict + atom_c
+        c = 1 if best_num < 0 else _cmp_raw(num, k + 1, best_num, best_exp)
         if c > 0:
-            best_num, best_exp = num, exp
+            best_num, best_exp = num, k + 1
             argmax = [k]
-            k_try = _closing_k(t_float, _prescreen_quantile(dyadic_to_float(num, exp)))
+            k_try = _closing_k(t_float, _prescreen_quantile(dyadic_to_float(num, k + 1)))
         elif c == 0:
             argmax.append(k)
-        k_last = k
+        # Off an atom the weak tail is the mid tail, and the weak best is at
+        # least the mid best, so it can only pass the weak best where c > 0.
+        if (c > 0 or atom_c) and (
+                weak_num < 0 or _cmp_raw(strict + atom_c, k, weak_num, weak_exp) > 0):
+            weak_num, weak_exp, witness = strict + atom_c, k, k
         if k + 1 >= k_try:
             ceiling = _tail_ceiling(p, q, k + 1)
             if ceiling is not None and _cmp_raw(*ceiling, best_num, best_exp) < 0:
-                return Dyadic(best_num, best_exp), tuple(argmax), k, True
-    return Dyadic(best_num, best_exp), tuple(argmax), k_last, False
-
-
-def _mid_numerator(k: int, strict: int, atom_c: int) -> tuple[int, int]:
-    return 2 * strict + atom_c, k + 1
-
-
-def _weak_numerator(k: int, strict: int, atom_c: int) -> tuple[int, int]:
-    return strict + atom_c, k
+                closed = True
+                break
+    return (Dyadic(best_num, best_exp), tuple(argmax), Dyadic(weak_num, weak_exp),
+            witness, k, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,7 @@ def envelope_mid_tail(n: int, t: Threshold) -> EnvelopeResult:
     if k0 > n:
         return EnvelopeResult(t, DYADIC_ZERO, tuple(range(1, n + 1)), n,
                               ZUBKOV_SEROV_CLOSED)
-    value, argmax, k_last, _ = _max_scan(t, k0, n, _mid_numerator)
+    value, argmax, _, _, k_last, _ = _max_scan(t, k0, n)
     return EnvelopeResult(t, value, argmax, k_last, ZUBKOV_SEROV_CLOSED)
 
 
@@ -312,23 +314,12 @@ def universal_envelope(t: Threshold, policy: TruncationPolicy | None = None) -> 
     if k0 > policy.k_cap:
         raise DomainError(f"k_cap={policy.k_cap} is below the minimum support "
                           f"size {k0} = ceil(t^2)")
-    value, argmax, k_last, closed = _max_scan(t, k0, policy.k_cap, _mid_numerator)
+    value, argmax, _, _, k_last, closed = _max_scan(t, k0, policy.k_cap)
     if closed:
         return EnvelopeResult(t, value, argmax, k_last, ZUBKOV_SEROV_CLOSED)
     warning = (f"search stopped at the hard cap k={policy.k_cap} before the "
                "tail bound closed; larger support sizes are unverified")
     return EnvelopeResult(t, value, argmax, k_last, HARD_CAP_HIT, warning)
-
-
-def _weak_max(t: Threshold, k_to: int) -> tuple[Dyadic, int]:
-    """Largest weak tail over support sizes k <= k_to (the envelope's left
-    limit at t), stopped early by the tail bound.  Returns (value, smallest
-    witness k)."""
-    k0 = k_min(t)
-    if k0 > k_to:
-        return DYADIC_ZERO, 1
-    value, argmax, _, _ = _max_scan(t, k0, k_to, _weak_numerator)
-    return value, argmax[0]
 
 
 def atom_grid(k_max: int, lo: Threshold, hi: Threshold) -> tuple[LatticeValue, ...]:
@@ -405,19 +396,25 @@ def quantile_universal(alpha: Fraction,
                        policy: TruncationPolicy | None = None) -> QuantileResult:
     """Smallest t >= 0 with universal envelope value <= alpha.
 
-    t_star is the largest crossing atom over k <= k_cap (see
-    ``_crossing_max``); value_at and left_limit are evaluated there once.
+    Convention: t_star = inf{t : envelope(t) <= alpha}, not the supremum
+    of {t : mid-tail >= alpha} of ``binomdist.mid_quantile``.  t_star is
+    the largest crossing atom a/sqrt(k) over k <= k_cap (``_crossing_max``,
+    t_star >= c_1 = 1); one tail scan at t_star from k_min(t_star) =
+    ceil(a^2/k) <= k gives value_at, left_limit and witness_k_left.
     """
     policy = policy or TruncationPolicy()
     _require_alpha(alpha)
     t_star, closed = _crossing_max(alpha, policy.k_cap)
-    env = universal_envelope(t_star, policy)
-    left_limit, witness = _weak_max(t_star, policy.k_cap)
-    return QuantileResult(alpha, t_star, env.value, left_limit, witness, not closed)
+    value_at, _, left_limit, witness, _, _ = _max_scan(t_star, k_min(t_star), policy.k_cap)
+    return QuantileResult(alpha, t_star, value_at, left_limit, witness, not closed)
 
 
 def quantile_finite(n: int, alpha: Fraction) -> QuantileResult:
-    """Smallest t >= 0 with the n-coordinate envelope at or below alpha."""
+    """Smallest t >= 0 with the n-coordinate envelope at or below alpha.
+
+    t_star = inf{t : envelope(t) <= alpha}, found by the same two scans as
+    in ``quantile_universal`` over k <= n.
+    """
     _require_alpha(alpha)
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -426,6 +423,5 @@ def quantile_finite(n: int, alpha: Fraction) -> QuantileResult:
                           "falls that low past its largest atom, so no "
                           "smallest threshold exists")
     t_star, _ = _crossing_max(alpha, n)
-    left_limit, witness = _weak_max(t_star, n)
-    value_at = envelope_mid_tail(n, t_star).value
+    value_at, _, left_limit, witness, _, _ = _max_scan(t_star, k_min(t_star), n)
     return QuantileResult(alpha, t_star, value_at, left_limit, witness)

@@ -175,9 +175,6 @@ class Dyadic:
     def __float__(self) -> float:
         return dyadic_to_float(self.num, self.exp)
 
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        return self.add(other)
-
     def __lt__(self, other: "Dyadic") -> bool:
         return self.compare(other) is Ordering.LT
 
@@ -236,9 +233,6 @@ class LatticeValue:
 
     def to_threshold(self) -> "Threshold":
         return Threshold.from_square(_sign(self.a), Fraction(self.a * self.a, self.k))
-
-    def __float__(self) -> float:
-        return self.a / math.sqrt(self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +321,6 @@ class Threshold:
     def compare(self, other: "Threshold") -> Ordering:
         return _ordering(_sign(self.signed_square - other.signed_square))
 
-    def is_nonnegative(self) -> bool:
-        return self.sign >= 0
-
     def __float__(self) -> float:
         mag = math.sqrt(self.sq.numerator / self.sq.denominator)
         return self.sign * mag
@@ -389,10 +380,6 @@ def cmp_lattice_lattice(u: LatticeValue, v: LatticeValue) -> Ordering:
         return Ordering.EQ
     square_cmp = _sign(u.a * u.a * v.k - v.a * v.a * u.k)
     return _ordering(square_cmp if su > 0 else -square_cmp)
-
-
-def cmp_threshold_threshold(s: Threshold, t: Threshold) -> Ordering:
-    return s.compare(t)
 
 
 # ---------------------------------------------------------------------------

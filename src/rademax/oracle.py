@@ -393,9 +393,10 @@ def normalized_mid_quantile(w: WeightVector, alpha: Fraction,
                             dist: ExactDist | None = None) -> Threshold:
     """Supremum of thresholds whose normalised mid-tail stays >= alpha.
 
-    Same supremum convention as the equal-weight case: the largest
-    normalised atom s/||w|| with P(S >= s) >= alpha; its square is the
-    rational s^2 / sum(w^2).
+    Same convention as ``binomdist.mid_quantile``, sup{t : mid-tail >=
+    alpha}, not the inf{t : envelope(t) <= alpha} of the envelope
+    quantiles: the largest normalised atom s/||w|| with P(S >= s) >= alpha;
+    its square is the rational s^2 / sum(w^2).
     """
     require_size(w.n)
     if not 0 < alpha < 1:
@@ -554,27 +555,28 @@ def _pair_probe(i: int, j: int, minus: tuple[tuple[int, int], ...],
     1/denom, of the per-pattern derivatives over the fiber along -theta,
     w_i e_j - w_j e_i, positive exactly when e_j = +1 (the normalization
     behind the majority/bias argument); along +theta they are negated.
-    The probe tries -theta first, then +theta: with unequal weights no
-    slope is zero, so one of the two upper medians is always positive and
-    the first-order increase direction always exists.
+    The probe tries -theta first, then +theta, and one of the two upper
+    medians is always positive, so the verdict is always true.  Proof:
+    with w_i > w_j > 0 no slope is zero.  Sorted ascending, the -theta
+    slopes s_0..s_{m-1} have upper median s_{m//2}, and the +theta ones
+    have upper median -s_{m-1-m//2}: that is -s_{m//2} for odd m and
+    -s_{m/2-1} >= -s_{m/2} for even m.  So med_minus <= 0 means
+    med_minus < 0 and med_plus >= -med_minus > 0.
     """
     m = sum(c for _, c in minus)
     med_minus = _upper_median(minus, m)
     if med_minus > 0:
-        direction, slopes, med, verdict = "-theta", minus, med_minus, True
+        direction, slopes, med = "-theta", minus, med_minus
     else:
-        plus = tuple((-v, c) for v, c in reversed(minus))
-        med_plus = _upper_median(plus, m)
-        if med_plus > 0:
-            direction, slopes, med, verdict = "+theta", plus, med_plus, True
-        else:  # impossible without zero slopes; kept for honesty
-            direction, slopes, med, verdict = "-theta", minus, med_minus, False
+        direction, slopes = "+theta", tuple((-v, c) for v, c in reversed(minus))
+        med = _upper_median(slopes, m)
+        assert med > 0, "a zero slope, impossible with w_i > w_j > 0"
     n_pos = sum(c for v, c in slopes if v > 0)
     n_neg = sum(c for v, c in slopes if v < 0)
     return PairProbe(i + 1, j + 1, direction,
                      tuple((Fraction(v, denom), c) for v, c in slopes),
                      n_pos, n_neg, m - n_pos - n_neg,
-                     Fraction(med, denom), verdict,
+                     Fraction(med, denom), True,
                      Fraction(med_minus, denom), med_minus > 0)
 
 
@@ -584,8 +586,8 @@ def equalisation_probe(w: WeightVector, x: Fraction,
 
     Scans every unequal positive coordinate pair.  The selected pair is
     the first whose normalized (-theta) direction already raises the
-    upper median, else the first pair whose opposite direction does;
-    per-pair data for all pairs rides along in ``all_pairs``.
+    upper median, else the first pair, whose opposite direction then does
+    (``_pair_probe``); per-pair data for all pairs rides along in ``all_pairs``.
 
     Everything is read from count tables on the common-denominator
     lattice, never from sign patterns.  The -theta slope of a pattern
@@ -638,8 +640,7 @@ def equalisation_probe(w: WeightVector, x: Fraction,
                 minus = ((-big - small, count[1, -1]), (small - big, count[-1, -1]),
                          (big - small, count[1, 1]), (big + small, count[-1, 1]))
                 probes.append(_pair_probe(i, j, tuple(p for p in minus if p[1]), denom))
-    selected = next((p for p in probes if p.normalized_verdict),
-                    next((p for p in probes if p.verdict), probes[0]))
+    selected = next((p for p in probes if p.normalized_verdict), probes[0])
     return ProbeReport(
         applicable=True,
         x=x,

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +273,46 @@ def test_every_exact_value_has_both_forms(capsys):
     payload = run_json(capsys, "envelope", "--t", "2", "--universal")
     value = payload["results"]["value"]
     assert set(value) == {"num", "exp", "dyadic", "decimal"}
+
+
+# ---------------------------------------------------------------------------
+# the README's commands
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_runs_and_its_claims_hold(capsys):
+    # every command of the CLI block exits 0, and the values its comments
+    # claim ("V, argmax [K,..]" and "t* = T") are what it prints
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    checked = set()
+    for line in block.split("\n```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(command)
+        assert prog == "rademax", line
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (line, err)
+        envelope = re.search(r"(\d+/\d+), argmax \[([\d,]+)\]", comment)
+        if envelope:
+            results = json.loads(out)["results"]
+            assert results["value"]["dyadic"] == envelope[1], line
+            assert results["argmax_k"] == [int(k) for k in envelope[2].split(",")], line
+            checked.add(" ".join(argv))
+        quantile = re.search(r"t\* = ([^\s:,;]+)", comment)
+        if quantile:
+            assert json.loads(out)["results"]["t_star"] == quantile[1], line
+            checked.add(" ".join(argv))
+    assert {"envelope --t 2 --universal", "envelope --t sqrt(3) --n 4",
+            "quantile --alpha 1/20 --universal"} <= checked
+
+
+def test_readme_early_stop_claim_holds(capsys):
+    # the truncation section's "`envelope ...` stops at `k = K`"
+    claim = re.search(r"`(envelope [^`]+)` stops at `k = (\d+)`", README.read_text())
+    payload = run_json(capsys, *shlex.split(claim[1]))
+    assert claim[1] == "envelope --t 7/2 --n 1000000"
+    assert payload["results"]["k_searched"] == int(claim[2]) == 661
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from rademax.envelope import (
     quantile_finite,
     quantile_universal,
     universal_envelope,
+    _max_scan,
     _tail_ceiling,
     _tail_scan,
 )
 from rademax.errors import DomainError
-from rademax.exactnum import Dyadic, Ordering, Threshold
+from rademax.exactnum import Dyadic, LatticeValue, Ordering, Threshold
 from rademax.normal import hoeffding_bound
 from rademax.oracle import WeightVector, enumerate_dist, normalized_mid_tail
 
@@ -52,6 +53,51 @@ def test_scan_engine_matches_direct_sums(s):
     for k, strict, atom_c in _tail_scan(t, k0, k0 + 60):
         assert Dyadic(2 * strict + atom_c, k + 1) == mid_tail(k, t), (s, k)
         assert Dyadic(strict + atom_c, k) == weak_tail(k, t), (s, k)
+
+
+def _fused_by_direct_sums(t, k_from, k_end):
+    """(max mid tail, its argmax, max weak tail, smallest k attaining it)."""
+    ks = range(k_from, k_end + 1)
+    mids = {k: mid_tail(k, t) for k in ks}
+    weaks = {k: weak_tail(k, t) for k in ks}
+    mid, weak = max(mids.values()), max(weaks.values())
+    return (mid, tuple(k for k in ks if mids[k] == mid), weak,
+            min(k for k in ks if weaks[k] == weak))
+
+
+def test_fused_scan_matches_direct_sums():
+    # both maxima of one scan against per-k sums, 64 sizes past a closed
+    # stop (nothing later may tie or win) or up to an unclosed k_to
+    rng = random.Random(9)
+    ts = [Threshold.from_square(1, Fraction(rng.randrange(1, 91), rng.randrange(10, 31)))
+          for _ in range(16)]
+    # thresholds exactly on an atom, where weak and mid tails differ
+    while len(ts) < 40:
+        k = rng.randrange(1, 61)
+        a = k - 2 * rng.randrange(0, (k + 1) // 2)
+        if a * a <= 9 * k:  # t <= 3 closes before k = 410
+            ts.append(LatticeValue(a, k).to_threshold())
+    outcomes = set()
+    for t in ts:
+        for k_to in (12, 500):
+            k0 = k_min(t)
+            if k0 > k_to:
+                continue
+            mid, argmax, weak, witness, k_last, closed = _max_scan(t, k0, k_to)
+            assert k_last <= k_to and (closed or k_last == k_to)
+            k_end = k_last + 64 if closed else k_to
+            assert (mid, argmax, weak, witness) == _fused_by_direct_sums(t, k0, k_end), (t, k_to)
+            outcomes.add(closed)
+    assert outcomes == {True, False}
+
+
+def test_fused_scan_witness_is_the_smallest_k():
+    # at t = sqrt(1/3) the weak tails of k = 1 and k = 3 tie at 1/2, the
+    # largest weak tail; only k = 3 has an atom on t
+    t = T("sqrt(1/3)")
+    assert weak_tail(1, t) == weak_tail(3, t) == Dyadic(1, 1)
+    _, _, weak, witness, _, closed = _max_scan(t, k_min(t), 4096)
+    assert (weak, witness, closed) == (Dyadic(1, 1), 1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +439,22 @@ def test_quantile_universal_matches_breakpoint_scan(k_cap):
             == (t, value, left, witness, capped), alpha
         outcomes.add(capped)
     assert outcomes == {True, False, "error"}
+
+
+@pytest.mark.parametrize("d", [20, 40, 100, 1000])
+def test_capped_flips_where_the_bound_past_the_cap_drops_to_alpha(d):
+    # capped is set exactly when Phi-bar(t* - 2/sqrt(k_cap + 1)) > alpha:
+    # with K the first size whose bound is <= alpha (mpmath), k_cap = K - 1
+    # closes on the scan's last step and k_cap = K - 2 does not
+    alpha = Fraction(1, d)
+    t = quantile_universal(alpha).t_star
+    with mpmath.workdps(40):
+        x = mpmath.sqrt(mpmath.mpf(t.sq.numerator) / t.sq.denominator)
+        K = next(K for K in range(1, 4096) if t.sq * K > 4
+                 and mpmath.ncdf(2 / mpmath.sqrt(K) - x) * d <= 1)
+    below, at = (quantile_universal(alpha, TruncationPolicy(k_cap=c)) for c in (K - 2, K - 1))
+    assert (below.t_star, below.capped) == (t, True)
+    assert (at.t_star, at.capped) == (t, False)
 
 
 def test_quantile_finite_unattainable_alpha():

@@ -198,6 +198,16 @@ def test_threshold_value_semantics():
     assert Threshold.parse("-sqrt(2)") < Threshold.zero() < Threshold.parse("1/2")
 
 
+def test_threshold_order_operators():
+    # the non-strict operators include equality, across display forms
+    two, root3 = Threshold.parse("2"), Threshold.parse("sqrt(3)")
+    assert two <= Threshold.parse("sqrt(4)") and two >= Threshold.parse("sqrt(4)")
+    assert root3 <= two and not root3 >= two
+    assert two >= root3 and not two <= root3
+    minus_one = Threshold.parse("-1")
+    assert minus_one <= Threshold.zero() and not minus_one >= Threshold.zero()
+
+
 def test_parse_ratio():
     assert parse_ratio("1/20") == Fraction(1, 20)
     assert parse_ratio("0.05") == Fraction(1, 20)

@@ -10,7 +10,8 @@ import rademax
 
 SRC = Path(rademax.__file__).resolve().parents[1]
 
-# rademax.__all__ as it stood when every module was imported eagerly.
+# rademax.__all__ as it stood when every module was imported eagerly, less
+# cmp_threshold_threshold, a removed copy of Threshold.compare.
 PUBLIC_NAMES = [
     "AtomTable", "ComparisonRow", "CriticalRow", "CriticalTable", "DomainError",
     "Dyadic", "EmptyFiberError", "EnvelopeResult", "ExactDist", "Fiber",
@@ -18,8 +19,8 @@ PUBLIC_NAMES = [
     "ProbeReport", "QuantileResult", "Ratio", "SearchReport", "SizeLimitError",
     "Threshold", "TruncationPolicy", "WeightVector", "ZUBKOV_SEROV_CLOSED",
     "atom_grid", "binomdist", "cmp_lattice_lattice", "cmp_lattice_threshold",
-    "cmp_threshold_threshold", "comparison_table", "critical_table",
-    "dist_by_pattern_walk", "enumerate_dist", "envelope", "envelope_mid_tail",
+    "comparison_table", "critical_table", "dist_by_pattern_walk", "enumerate_dist",
+    "envelope", "envelope_mid_tail",
     "equalisation_probe", "erfc", "errors", "exactnum", "fiber", "figure_data",
     "gaussian_upper_tail", "hoeffding_bound", "k_min", "mid_quantile", "mid_tail",
     "normal", "normalized_mid_quantile", "normalized_mid_tail", "oracle",
