@@ -85,9 +85,16 @@ _SIGN_CHOICES = (1, -1)  # +1 first: patterns enumerate in lexicographic order
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative rational weights, not all zero."""
+    """Nonnegative rational weights, not all zero.
+
+    The constructor also puts them on their common-denominator lattice,
+    once per vector: w_i = _iw[i] / _denom.  Those two fields take no part
+    in equality, hashing or the repr.
+    """
 
     w: tuple[Fraction, ...]
+    _iw: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _denom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = tuple(map(Fraction, self.w))
@@ -97,7 +104,10 @@ class WeightVector:
             raise DomainError("weights must be >= 0")
         if not any(x.numerator for x in w):
             raise DomainError("weight vector must have a positive entry")
+        denom = math.lcm(*(x.denominator for x in w))
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_iw", tuple(x.numerator * (denom // x.denominator) for x in w))
+        object.__setattr__(self, "_denom", denom)
 
     @property
     def n(self) -> int:
@@ -105,8 +115,7 @@ class WeightVector:
 
     @property
     def norm_sq(self) -> Fraction:
-        iw, denom = _scaled_weights(self)
-        return Fraction(_square_sum(iw), denom * denom)
+        return Fraction(_square_sum(self._iw), self._denom * self._denom)
 
 
 @dataclass(frozen=True)
@@ -267,18 +276,12 @@ def require_size(n: int) -> None:
                              f"({MAX_COORDINATES} coordinates)")
 
 
-def _scaled_weights(w: WeightVector) -> tuple[list[int], int]:
-    """Integer weights on a common denominator L (values are atoms / L)."""
-    denom = math.lcm(*(x.denominator for x in w.w))
-    return [x.numerator * (denom // x.denominator) for x in w.w], denom
-
-
-def _square_sum(iw: list[int]) -> int:
+def _square_sum(iw: tuple[int, ...]) -> int:
     """||L w||^2 for the integer weights L w."""
     return sum(map(operator.mul, iw, iw))
 
 
-def _scaled_counts(iw: list[int]) -> dict[int, int]:
+def _scaled_counts(iw: tuple[int, ...]) -> dict[int, int]:
     """Counts of patterns per integer sum, by exact convolution."""
     counts = {0: 1}
     for wi in iw:
@@ -300,7 +303,7 @@ def _is_dense(total: int) -> bool:
     return total < _PACKED_SLOTS
 
 
-def _packed_product(iw: list[int]) -> int:
+def _packed_product(iw: tuple[int, ...]) -> int:
     """prod(1 + z^{w_i}) at z = 2^32: slot s counts the patterns with sum 2s - W."""
     if len(iw) >= _SLOT_BITS:  # a count of 2^n needs n + 1 bits
         raise SizeLimitError(f"n={len(iw)} coordinates overflow a "
@@ -319,7 +322,7 @@ def _unpack(packed: int, size: int) -> array:
     return slots
 
 
-def _packed_table(iw: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _packed_table(iw: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sums, counts) of the dense route, unpacked from ``_packed_product``."""
     total = sum(iw)
     slots = _unpack(_packed_product(iw), total + 1)
@@ -334,7 +337,7 @@ def enumerate_dist(w: WeightVector) -> ExactDist:
     lattices need, take the dict convolution.
     """
     require_size(w.n)
-    iw, denom = _scaled_weights(w)
+    iw, denom = w._iw, w._denom
     if _is_dense(sum(iw)):
         table = _packed_table(iw)
     else:
@@ -345,7 +348,7 @@ def enumerate_dist(w: WeightVector) -> ExactDist:
 def dist_by_pattern_walk(w: WeightVector) -> ExactDist:
     """Same law via the explicit 2^n pattern walk (slow, independent route)."""
     require_size(w.n)
-    iw, denom = _scaled_weights(w)
+    iw, denom = w._iw, w._denom
     counts = Counter(map(sum, itertools.product(*((wi, -wi) for wi in iw))))
     return ExactDist(w.n, *_sorted_table(counts), denom)
 
@@ -377,7 +380,7 @@ def normalized_mid_tail(w: WeightVector, t: Threshold,
     require_size(w.n)
     if dist is None:
         dist = enumerate_dist(w)
-    w2_scaled = _square_sum(_scaled_weights(w)[0])
+    w2_scaled = _square_sum(w._iw)
 
     def side(s: int) -> int:
         return _cmp_scaled_atom(s, t, w2_scaled)
@@ -411,7 +414,7 @@ def normalized_mid_quantile(w: WeightVector, alpha: Fraction,
         if cum * scale >= target:
             if s == 0:
                 return Threshold.zero()
-            w2_scaled = _square_sum(_scaled_weights(w)[0])
+            w2_scaled = _square_sum(w._iw)
             return Threshold.from_square((s > 0) - (s < 0), Fraction(s * s, w2_scaled))
     raise AssertionError("normalized_mid_quantile failed to terminate")
 
@@ -427,7 +430,7 @@ def fiber(w: WeightVector, x: Fraction) -> Fiber:
     """
     require_size(w.n)
     x = Fraction(x)
-    iw, denom = _scaled_weights(w)
+    iw, denom = w._iw, w._denom
     target = x * denom
     if target.denominator != 1:
         raise EmptyFiberError(f"{x} is not an atom of the distribution")
@@ -604,7 +607,7 @@ def equalisation_probe(w: WeightVector, x: Fraction,
     x = Fraction(x)
     if x <= 0:
         raise DomainError("the probe requires a positive atom")
-    iw, denom = _scaled_weights(w)
+    iw, denom = w._iw, w._denom
     if len({b for b in iw if b > 0}) <= 1:
         return ProbeReport(applicable=False, x=x,
                            reason="all nonzero coordinates are equal")

@@ -153,7 +153,12 @@ class CriticalTable:
 
 
 def critical_table(n_list, alpha_list) -> CriticalTable:
-    """Critical values s_crit = finite-envelope quantile, per (n, alpha)."""
+    """Critical values s_crit = finite-envelope quantile, per (n, alpha).
+
+    One bad cell fails the whole table: the first n or (n, alpha) without a
+    quantile raises its ``DomainError`` and no row is returned, so the CLI
+    prints nothing and exits 3.
+    """
     rows = []
     for n in n_list:
         if n < 1:

@@ -1,11 +1,24 @@
 """Equal-weight sum law: pmf, tails, mid-quantile."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rademax.binomdist import _boundary, mid_quantile, mid_tail, pmf, strict_tail, weak_tail
+from rademax import binomdist
+from rademax.binomdist import (
+    _TREE_FROM,
+    _boundary,
+    _central_binomial,
+    mid_quantile,
+    mid_tail,
+    pmf,
+    strict_tail,
+    weak_tail,
+)
 from rademax.errors import DomainError
 from rademax.exactnum import (
     DYADIC_ONE,
@@ -180,6 +193,92 @@ def test_cutoff_and_top_atom():
         assert mid_tail(k, top) == Dyadic(1, k + 1)
         above = Threshold.from_square(1, top.sq + 1)
         assert mid_tail(k, above) == Dyadic(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against math.comb: product-tree centre, binary-split band
+# ---------------------------------------------------------------------------
+
+def _side(a: int, k: int, t: Threshold) -> int:
+    """Sign of a/sqrt(k) - t, by integer squares."""
+    sa = (a > 0) - (a < 0)
+    if sa != t.sign:
+        return 1 if sa > t.sign else -1
+    d = a * a * t.sq.denominator - t.sq.numerator * k
+    return (d > 0) - (d < 0) if sa > 0 else (d < 0) - (d > 0)
+
+
+def _comb_counts(k: int, t: Threshold) -> tuple[int, int]:
+    """(strict, weak) tail counts: C(k, m) summed over the atoms > t (>= t),
+    walking down from the top atom by C(k, m-1) = C(k, m) m / (k-m+1); the
+    coefficient where the walk stops must equal math.comb's."""
+    strict = weak = 0
+    coeff, m = 1, k  # C(k, k)
+    while m >= 0:
+        side = _side(2 * m - k, k, t)
+        if side < 0:
+            assert coeff == math.comb(k, m)
+            break
+        weak += coeff
+        strict += coeff if side > 0 else 0
+        coeff = coeff * m // (k - m + 1)
+        m -= 1
+    return strict, weak
+
+
+def _assert_tails_match(k: int, t: Threshold) -> None:
+    strict, weak = _comb_counts(k, t)
+    assert strict_tail(k, t) == Dyadic(strict, k), (k, str(t))
+    assert weak_tail(k, t) == Dyadic(weak, k), (k, str(t))
+    assert mid_tail(k, t) == Dyadic(strict + weak, k + 1), (k, str(t))
+
+
+def test_central_binomial_matches_math_comb():
+    for k in range(3001):
+        assert _central_binomial(k) == math.comb(k, k // 2), k
+    rng = random.Random(2206)
+    for _ in range(50):
+        k = round(math.exp(rng.uniform(math.log(3001), math.log(10**5))))
+        assert _central_binomial(k) == math.comb(k, k // 2), k
+
+
+@pytest.mark.parametrize("k", [_TREE_FROM - 1, _TREE_FROM, _TREE_FROM + 1, 20000])
+def test_tails_match_comb_sums_across_the_crossover(k):
+    half = k // 2
+    ts = [T(s) for s in ("-7/2", "-1", "0", "1/3", "1", "sqrt(3)", "7/2")]
+    # atoms exactly on t: the first two past the centre (empty and one-term
+    # band), one deep in the band, the top atom, and one below the centre
+    ts += [LatticeValue(2 * m - k, k).to_threshold()
+           for m in (half + 1, half + 2, half + 61, k, half - 5)]
+    ts.append(Threshold.from_square(1, Fraction(k + 1)))  # boundary past k
+    for t in ts:
+        _assert_tails_match(k, t)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, _TREE_FROM - 1) | st.integers(_TREE_FROM, 3 * _TREE_FROM),
+       st.sampled_from((-1, 1)),
+       st.fractions(min_value=0, max_value=16, max_denominator=40),
+       st.none() | st.integers(0, 10**6))
+def test_mid_tail_matches_comb_sum_property(k, sign, sq, atom):
+    if atom is not None:
+        m = atom % (k + 1)
+        t = LatticeValue(2 * m - k, k).to_threshold()
+    else:
+        t = Threshold.from_square(sign, sq) if sq else Threshold.zero()
+    _assert_tails_match(k, t)
+
+
+def test_crossover_picks_the_route(monkeypatch):
+    # math.comb and the walk below _TREE_FROM (faster there), the tree and
+    # the splitting from it on
+    calls = []
+    tree = binomdist._central_binomial
+    monkeypatch.setattr(binomdist, "_central_binomial", lambda k: calls.append(k) or tree(k))
+    mid_tail(_TREE_FROM - 1, T("1"))
+    assert calls == []
+    mid_tail(_TREE_FROM, T("1"))
+    assert calls == [_TREE_FROM]
 
 
 # ---------------------------------------------------------------------------

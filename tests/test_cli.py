@@ -130,6 +130,16 @@ def test_table_bad_n(capsys):
     assert code == 3
 
 
+def test_one_bad_cell_fails_the_whole_table(capsys):
+    # n = 10 alone prints a row, but n = 2 has no alpha = 1/20 quantile:
+    # the table prints no row at all and exits 3
+    code, out, err = run(capsys, "table", "--ns", "2,10", "--alphas", "0.05")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: alpha below 2^-3")
+    assert err.count("\n") == 1
+
+
 def test_table_non_integer_n_is_parse_error(capsys):
     code, out, err = run(capsys, "table", "--ns", "1,x", "--alphas", "0.05")
     assert code == 2

@@ -89,7 +89,13 @@ def test_weight_vector_errors_and_inputs():
         == WeightVector((3, Fraction(0), Fraction(8, 2)))
     assert all(type(x) is Fraction for x in as_int.w)
     assert as_int.w == (3, 0, 4) and as_int.norm_sq == 25
-    assert WeightVector((1, Fraction(1, 2))).norm_sq == Fraction(5, 4)
+    halves = WeightVector((1, Fraction(1, 2)))
+    assert halves.norm_sq == Fraction(5, 4)
+    # the lattice is built once, in the constructor, and stays out of the
+    # repr, equality and hash
+    assert (halves._iw, halves._denom) == ((2, 1), 2)
+    assert repr(halves) == "WeightVector(w=(Fraction(1, 1), Fraction(1, 2)))"
+    assert hash(as_int) == hash(WeightVector((Fraction(6, 2), 0, 4)))
 
 
 @contextlib.contextmanager
@@ -145,8 +151,7 @@ def test_routes_agree_property(vals):
     w = W(*vals)
     walk = dist_by_pattern_walk(w)
     assert enumerate_dist(w) == _by_route(w, packed=False) == walk
-    iw, _ = oracle._scaled_weights(w)
-    if sum(iw) < 1 << 20:  # the packed route's table must fit in memory
+    if sum(w._iw) < 1 << 20:  # the packed route's table must fit in memory
         assert _by_route(w, packed=True) == walk
 
 

@@ -1,5 +1,5 @@
-"""Mutation check for the k-scans, the tail bound, the normal ceiling and
-the oracle's packed tables.
+"""Mutation check for the k-scans, the tail bound, the normal ceiling, the
+binomial tail kernel and the oracle's packed tables.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # only the named mutants
@@ -36,9 +36,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
+BINOM = "src/rademax/binomdist.py"
 ENV = "src/rademax/envelope.py"
 NORMAL = "src/rademax/normal.py"
 ORACLE = "src/rademax/oracle.py"
+T_BINOM = "tests/test_binomdist.py::"
 T_ENV = "tests/test_envelope.py::"
 T_NORMAL = "tests/test_normal.py::"
 T_ORACLE = "tests/test_oracle.py::"
@@ -140,6 +142,26 @@ MUTANTS = (
            (T_ENV + "test_quantile_universal_matches_breakpoint_scan",
             T_ENV + "test_quantile_finite_matches_breakpoint_scan"),
            must_kill=False),   # no tested input has a closed-then-open tie
+    # -- the binomial kernel: product-tree centre, binary-split band ------------
+    Mutant("legendre-exponent-off-by-one", BINOM,
+           "e, q = 0, p",
+           "e, q = 1, p",
+           (T_BINOM + "test_central_binomial_matches_math_comb",
+            T_BINOM + "test_tails_match_comb_sums_across_the_crossover")),
+    Mutant("tree-drops-odd-factor", BINOM,
+           "factors = [*map(operator.mul, factors[::2], factors[1::2]), *odd]",
+           "factors = [*map(operator.mul, factors[::2], factors[1::2])]",
+           (T_BINOM + "test_central_binomial_matches_math_comb",
+            T_BINOM + "test_tails_match_comb_sums_across_the_crossover")),
+    Mutant("split-t-products-swapped", BINOM,
+           "t1 * q2 + p1 * t2",
+           "t2 * q1 + p2 * t1",
+           (T_BINOM + "test_tails_match_comb_sums_across_the_crossover",
+            T_BINOM + "test_mid_tail_matches_comb_sum_property")),
+    Mutant("crossover-inverted", BINOM,
+           "small = k < _TREE_FROM",
+           "small = k >= _TREE_FROM",
+           (T_BINOM + "test_crossover_picks_the_route",)),
     # -- the oracle's packed tables and probe -----------------------------------
     # (The route rule inverted is left out: it packs a 10^12-slot table.)
     Mutant("sixteen-bit-slots", ORACLE,
